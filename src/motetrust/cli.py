@@ -88,7 +88,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_SCENARIO
     if args.seed is not None:
         scenario.seed = args.seed
-    trace = run(scenario)
+    try:
+        trace = run(scenario)
+    except ScenarioError as err:  # --seed can reshape a geometric topology under the overrides
+        print(f"scenario error: {err}", file=sys.stderr)
+        return EXIT_SCENARIO
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -47,6 +47,7 @@ with the offending line number rather than silently ignored.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -98,9 +99,12 @@ def _as_int(value: str, key: str, line: int) -> int:
 
 def _as_float(value: str, key: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioError(f"{key} must be a number, got {value!r}", line) from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}", line)
+    return number
 
 
 def _as_bool(value: str, key: str, line: int) -> bool:
@@ -237,7 +241,9 @@ def parse_scenario(text: str) -> Scenario:
     if link_kwargs:
         kwargs["default_link"] = LinkTruth(**link_kwargs)
 
-    assert not plain, f"unconsumed keys: {sorted(plain)}"
+    if plain:  # a key listed in _SECTION_KEYS that no code above reads
+        first_line = min(lineno for _, lineno in plain.values())
+        raise ScenarioError(f"keys accepted but never read: {', '.join(sorted(plain))}", first_line)
 
     scenario = Scenario(
         **kwargs,

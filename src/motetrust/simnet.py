@@ -78,14 +78,17 @@ class EnergyCosts:
     compute: float = 0.005
 
     def __post_init__(self) -> None:
-        if self.tx < 0.0 or self.rx < 0.0 or self.compute < 0.0:
-            raise ScenarioError("energy costs must be non-negative")
+        if not all(math.isfinite(c) and c >= 0.0 for c in (self.tx, self.rx, self.compute)):
+            raise ScenarioError("energy costs must be finite and non-negative")
 
     def of(self, action: str) -> float:
-        try:
-            return {"tx": self.tx, "rx": self.rx, "compute": self.compute}[action]
-        except KeyError:
-            raise ValueError(f"unknown action {action!r}") from None
+        if action == "tx":
+            return self.tx
+        if action == "rx":
+            return self.rx
+        if action == "compute":
+            return self.compute
+        raise ValueError(f"unknown action {action!r}")
 
 
 @dataclass(frozen=True)
@@ -215,16 +218,18 @@ class Scenario:
             self._check_edge(a, b, adjacency)
             self._check_link_changes(changes)
         for ev in self.link_events:
-            if ev.at < 0:
-                raise ScenarioError(f"event interval must be >= 0, got {ev.at}")
+            self._check_event_interval(ev.at)
             self._check_edge(ev.a, ev.b, adjacency)
             self._check_link_changes(ev.changes)
         for at, addrs in sorted(self.mote_kills.items()):
-            if at < 0:
-                raise ScenarioError(f"event interval must be >= 0, got {at}")
+            self._check_event_interval(at)
             for addr in addrs:
                 if not 0 <= addr < self.motes:
                     raise ScenarioError(f"kill event names unknown mote {addr}")
+
+    def _check_event_interval(self, at: int) -> None:
+        if not 0 <= at < self.intervals:  # an event past the last interval would never fire
+            raise ScenarioError(f"event interval must be in [0, {self.intervals - 1}], got {at}")
 
     def _check_edge(self, a: int, b: int, adjacency: dict[int, tuple[int, ...]]) -> None:
         if not (0 <= a < self.motes and 0 <= b < self.motes) or a == b:
@@ -305,6 +310,9 @@ class MoteState:
     unconstrained: bool = False
     counts_by_peer: dict[int, BehaviorCounts] = field(default_factory=dict)
     evidence_by_peer: dict[int, EvidenceCounts] = field(default_factory=dict)
+    #: beta/bayes selection metric per peer, derived from the two stores above;
+    #: whatever changes a peer's counts or evidence must drop its entry
+    metric_by_peer: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.energy <= 0.0 and not self.unconstrained:
@@ -379,6 +387,7 @@ def analyze(mote: MoteState, peer: int, obs: SafetyObservation, scenario: Scenar
         prior = mote.counts_by_peer.get(peer, BehaviorCounts())
         outcome = Outcome.NORMAL if score >= scenario.misbehavior_threshold else Outcome.MISBEHAVIOR
         mote.counts_by_peer[peer] = update_counts(prior, outcome)
+        mote.metric_by_peer.pop(peer, None)
     else:
         table = mote.evidence_by_peer.setdefault(peer, EvidenceCounts(evidence_arity=2))
         table.record(
@@ -386,6 +395,7 @@ def analyze(mote: MoteState, peer: int, obs: SafetyObservation, scenario: Scenar
             obs.tx_rate >= scenario.ref_tx_rate,
             obs.uptime > 0.5,
         )
+        mote.metric_by_peer.pop(peer, None)
     return score
 
 
@@ -393,11 +403,15 @@ def _selection_metric(mote: MoteState, peer: int) -> float:
     if mote.engine is Engine.QAD:
         value = mote.rwp.a_minor.get(mote.addr, peer) if mote.rwp.a_minor.covers(peer) else None
         return -3.0 if value is None else float(value)  # unassessed ranks below the scale
-    if mote.engine is Engine.BETA:
-        counts = mote.counts_by_peer.get(peer, BehaviorCounts())
-        return TrustRecord.from_counts(counts).combined
-    table = mote.evidence_by_peer.get(peer)
-    return 0.5 if table is None else bayes_posterior2(table)
+    metric = mote.metric_by_peer.get(peer)
+    if metric is None:  # evidence changed since the last look, or never looked
+        if mote.engine is Engine.BETA:
+            metric = TrustRecord.from_counts(mote.counts_by_peer.get(peer, BehaviorCounts())).combined
+        else:
+            table = mote.evidence_by_peer.get(peer)
+            metric = 0.5 if table is None else bayes_posterior2(table)
+        mote.metric_by_peer[peer] = metric
+    return metric
 
 
 def select_peer(mote: MoteState, candidates: Iterable[int]) -> int:

@@ -78,6 +78,21 @@ class TestRunCommand:
         assert code == EXIT_SCENARIO
         assert "scenario error" in capsys.readouterr().err
 
+    def test_seed_that_voids_a_link_override_is_scenario_error(self, tmp_path, capsys):
+        # edge 0-2 exists in this geometric draw at seed 1 but not at seed 2
+        geo = tmp_path / "geo.scn"
+        geo.write_text(
+            "[network]\nmotes = 10\ntopology = geometric\nradius = 0.4\nseed = 1\n"
+            "[links]\n0-2.link_quality = 0.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run_cli(["run", str(geo), "--out", str(out), "--seed", "2"]) == EXIT_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "0-2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_out_dir_is_io_error(self, scenario_file, tmp_path, capsys):
         # a file where the out directory should go forces mkdir to fail for any uid
         blocker = tmp_path / "locked"

@@ -2,6 +2,7 @@ import textwrap
 
 import pytest
 
+from motetrust import scenario as scenario_module
 from motetrust.qad import OperatorChoice
 from motetrust.scenario import load_scenario, parse_scenario
 from motetrust.simnet import Engine, ScenarioError
@@ -172,6 +173,26 @@ class TestErrors:
 
     def test_out_of_range_value_reports_validation_error(self):
         assert "link_quality" in error_of("[network]\nmotes = 4\n[links]\nlink_quality = 1.5\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_numbers_rejected_with_line(self, value):
+        msg = error_of(f"[network]\nmotes = 4\n[energy]\ntx_cost_j = {value}\n")
+        assert msg.startswith("line 4:") and "finite" in msg
+
+    @pytest.mark.parametrize("event", ["at=5 link=0-1 uptime=0.5", "at=2 mote=1 action=kill"])
+    def test_events_past_the_last_interval_rejected(self, event):
+        assert "event interval" in error_of(f"[network]\nmotes = 4\nintervals = 2\n[events]\n{event}\n")
+
+    def test_event_in_the_last_interval_accepted(self):
+        s = parse_scenario("[network]\nmotes = 4\nintervals = 2\n[events]\nat=1 mote=1 action=kill\n")
+        assert s.mote_kills == {1: (1,)}
+
+    def test_accepted_key_that_is_never_read_is_an_error(self, monkeypatch):
+        # every listed key is read today; an entry added without its reader must not pass silently
+        keys = scenario_module._SECTION_KEYS
+        monkeypatch.setitem(keys, "network", (*keys["network"], "colour"))
+        msg = error_of("[network]\nmotes = 4\ncolour = red\n")
+        assert msg.startswith("line 3:") and "network.colour" in msg
 
     def test_comment_only_lines_are_skipped(self):
         s = parse_scenario("# header\n\n[network]  # trailing\nmotes = 4  # why not\n")

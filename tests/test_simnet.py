@@ -161,6 +161,19 @@ class TestSelectPeer:
         mote = make_mote(Engine.BETA)
         assert select_peer(mote, [2, 1]) == 1
 
+    @pytest.mark.parametrize("engine", [Engine.BETA, Engine.BAYES])
+    def test_new_evidence_changes_the_next_selection(self, engine):
+        mote = make_mote(engine)
+        good = SafetyObservation(0.9, 250_000.0, 10.0, 0.99)
+        # rate at reference and mostly up, but scored below the threshold
+        bad = SafetyObservation(0.0, 250_000.0, 100.0, 0.51)
+        analyze(mote, 1, good, Scenario())
+        analyze(mote, 2, good, Scenario())
+        assert select_peer(mote, [1, 2]) == 1
+        analyze(mote, 1, bad, Scenario())
+        analyze(mote, 1, bad, Scenario())
+        assert select_peer(mote, [1, 2]) == 2
+
     def test_rejects_self_and_empty(self):
         mote = make_mote(Engine.BETA)
         with pytest.raises(ValueError):
@@ -203,6 +216,13 @@ class TestChargeEnergy:
         )
         charge_energy(mote, "tx", EnergyCosts())
         assert mote.energy == 5.0
+
+    @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
+    def test_costs_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ScenarioError):
+            EnergyCosts(tx=bad)
+        with pytest.raises(ScenarioError):
+            EnergyCosts(compute=bad)
 
     def test_unknown_action_rejected(self):
         mote = make_mote(Engine.BETA)
