@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 SCALE_MIN = -2
 SCALE_MAX = 2
@@ -62,15 +62,14 @@ def check_assessment(value: Assessment) -> Assessment:
 class AssessmentMatrix:
     """Square matrix of assessments; row i is agent i's view of the society."""
 
-    def __init__(self, rows: Sequence[Sequence[Assessment]]):
-        if len(rows) == 0:
+    def __init__(self, rows: Iterable[Sequence[Assessment]]):
+        self._rows: list[list[Assessment]] = [[check_assessment(v) for v in row] for row in rows]
+        n = len(self._rows)
+        if n == 0:
             raise ValueError("assessment matrix needs at least one agent")
-        n = len(rows)
-        self._rows: list[list[Assessment]] = []
-        for row in rows:
+        for row in self._rows:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in a {n}-agent society")
-            self._rows.append([check_assessment(v) for v in row])
 
     @classmethod
     def filled(cls, n: int, value: Assessment = None) -> "AssessmentMatrix":
@@ -168,8 +167,10 @@ def step_society(
     if len(assignment) != matrix.n:
         raise ValueError(f"need one operator per agent: got {len(assignment)} for {matrix.n} agents")
     n = matrix.n
+    # rows are generated, checked and copied one at a time, so no unchecked
+    # n x n copy lives beside the result; at n = 256 that is 0.5 MB of peak heap
     return AssessmentMatrix(
-        [[apply_operator(matrix, i, j, assignment[i], rng) for j in range(n)] for i in range(n)]
+        [apply_operator(matrix, i, j, assignment[i], rng) for j in range(n)] for i in range(n)
     )
 
 

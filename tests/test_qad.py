@@ -47,6 +47,12 @@ class TestAssessmentMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             AssessmentMatrix([[0, 1], [0]])
+        with pytest.raises(ValueError):
+            AssessmentMatrix(row for row in [[0, 1], [0]])
+
+    def test_rows_may_come_from_a_generator(self):
+        m = AssessmentMatrix([v, None] for v in (1, -2))
+        assert (m.row(0), m.row(1)) == ((1, None), (-2, None))
 
     def test_rejects_out_of_scale(self):
         with pytest.raises(ValueError):
