@@ -27,7 +27,6 @@ from .qad import (
 )
 from .rwp import (
     AddressedMatrix,
-    FloodMessage,
     MajorMatrix,
     QueryResult,
     RwpPhase,

@@ -114,29 +114,16 @@ class RwpState:
             self.backup_hacp = None
 
 
-@dataclass(frozen=True)
-class FloodMessage:
-    """An announcement as it travels the network; msg_id deduplicates rebroadcasts."""
-
-    origin: int
-    pcp: int
-    msg_id: tuple
-    hop_count: int = 0
-
-
 @dataclass
 class MajorMatrix:
-    """Society-wide aggregate for one interval; theta_next is set once adapted."""
+    """Society-wide aggregate for one interval."""
 
     a_major: AssessmentMatrix
     interval_index: int
-    theta_next: float | None = None
 
     def __post_init__(self) -> None:
         if self.interval_index < 0:
             raise ValueError("interval index must be non-negative")
-        if self.theta_next is not None and self.theta_next <= 0.0:
-            raise ValueError("adapted interval length must be positive")
 
 
 @dataclass(frozen=True)

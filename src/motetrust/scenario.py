@@ -122,6 +122,21 @@ def _as_enum(enum_cls, value: str, key: str, line: int):
         raise ScenarioError(f"{key} must be one of: {choices}; got {value!r}", line) from None
 
 
+def _at_line(line: int, check, *args):
+    """``check(*args)``, with any ScenarioError it raises pointed at ``line``."""
+    try:
+        return check(*args)
+    except ScenarioError as err:
+        raise ScenarioError(err.args[0], line) from None
+
+
+def _link_value(attr: str, value: str, key: str, line: int) -> float:
+    """A link field's number, range-checked alone so that an error names its line."""
+    number = _as_float(value, key, line)
+    _at_line(line, LinkTruth(**{attr: number}).validate)
+    return number
+
+
 def _parse_endpoints(text: str, line: int) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)-(\d+)", text)
     if not m:
@@ -135,6 +150,7 @@ def parse_scenario(text: str) -> Scenario:
     overrides: dict[tuple[int, int], dict[str, float]] = {}
     link_events: list[LinkEvent] = []
     mote_kills: dict[int, list[int]] = {}
+    event_lines: list[tuple[int, int]] = []  # (line, at) of every event
     seen_sections: set[str] = set()
     section: str | None = None
 
@@ -156,7 +172,7 @@ def parse_scenario(text: str) -> Scenario:
         if section is None:
             raise ScenarioError("key outside any section", lineno)
         if section == "events":
-            _parse_event(line, lineno, link_events, mote_kills)
+            event_lines.append((lineno, _parse_event(line, lineno, link_events, mote_kills)))
             continue
         if "=" not in line:
             raise ScenarioError(f"expected key = value, got {line!r}", lineno)
@@ -171,7 +187,7 @@ def parse_scenario(text: str) -> Scenario:
             attr = _LINK_KEYS[field_key]
             if attr in per_link:
                 raise ScenarioError(f"duplicate override {key!r}", lineno)
-            per_link[attr] = _as_float(value, key, lineno)
+            per_link[attr] = _link_value(attr, value, key, lineno)
             continue
         if key not in _SECTION_KEYS[section]:
             raise ScenarioError(f"unknown key {key!r} in [{section}]", lineno)
@@ -187,7 +203,7 @@ def parse_scenario(text: str) -> Scenario:
         if full not in plain:
             return None
         value, lineno = plain.pop(full)
-        return caster(value, full.split(".", 1)[1], lineno)
+        return _at_line(lineno, caster, value, full.split(".", 1)[1], lineno)
 
     kwargs: dict = {}
 
@@ -216,26 +232,23 @@ def parse_scenario(text: str) -> Scenario:
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 4:
             raise ScenarioError(f"weights needs 4 comma-separated numbers, got {len(parts)}", lineno)
-        numbers = [_as_float(p, "weights", lineno) for p in parts]
-        try:
-            kwargs["weights"] = SafetyWeights(*numbers)
-        except ScenarioError as err:
-            raise ScenarioError(str(err), lineno) from None
+        kwargs["weights"] = _at_line(lineno, SafetyWeights, *(_as_float(p, "weights", lineno) for p in parts))
 
+    # each cost and link field is range-checked on its own, so its error names its own line
     cost_kwargs: dict[str, float] = {}
     for file_key, attr in (("tx_cost_j", "tx"), ("rx_cost_j", "rx"), ("compute_cost_j", "compute")):
-        got = take(f"energy.{file_key}", _as_float)
+        got = take(f"energy.{file_key}", lambda v, k, l: EnergyCosts(**{attr: _as_float(v, k, l)}).of(attr))
         if got is not None:
             cost_kwargs[attr] = got
     if cost_kwargs:
-        kwargs["costs"] = EnergyCosts(**{**_dataclass_defaults(EnergyCosts), **cost_kwargs})
+        kwargs["costs"] = EnergyCosts(**cost_kwargs)
     put("capacity", take("energy.capacity_j", _as_float))
     put("init_energy", take("energy.init_j", _as_float))
     put("harvest_rate", take("energy.harvest_j_per_s", _as_float))
 
     link_kwargs: dict[str, float] = {}
     for file_key, attr in _LINK_KEYS.items():
-        got = take(f"links.{file_key}", _as_float)
+        got = take(f"links.{file_key}", lambda v, k, l: _link_value(attr, v, k, l))
         if got is not None:
             link_kwargs[attr] = got
     if link_kwargs:
@@ -251,12 +264,11 @@ def parse_scenario(text: str) -> Scenario:
         link_events=link_events,
         mote_kills={at: tuple(sorted(addrs)) for at, addrs in mote_kills.items()},
     )
+    if scenario.intervals >= 1:  # otherwise validate reports intervals, not the events
+        for lineno, at in event_lines:
+            _at_line(lineno, scenario.check_event_interval, at)
     scenario.validate()
     return scenario
-
-
-def _dataclass_defaults(cls) -> dict[str, float]:
-    return {f.name: f.default for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
 
 
 def _parse_event(
@@ -264,7 +276,8 @@ def _parse_event(
     lineno: int,
     link_events: list[LinkEvent],
     mote_kills: dict[int, list[int]],
-) -> None:
+) -> int:
+    """Add one event line to the link events or the kills; returns its interval."""
     tokens: dict[str, str] = {}
     for tok in line.split():
         if "=" not in tok:
@@ -282,7 +295,7 @@ def _parse_event(
         for key, value in tokens.items():
             if key not in _LINK_KEYS:
                 raise ScenarioError(f"unknown link field {key!r} in event", lineno)
-            changes[_LINK_KEYS[key]] = _as_float(value, key, lineno)
+            changes[_LINK_KEYS[key]] = _link_value(_LINK_KEYS[key], value, key, lineno)
         if not changes:
             raise ScenarioError("link event changes nothing", lineno)
         link_events.append(LinkEvent(at, a, b, changes))
@@ -295,6 +308,7 @@ def _parse_event(
         mote_kills.setdefault(at, []).append(addr)
     else:
         raise ScenarioError("event needs link=A-B or mote=N", lineno)
+    return at
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -27,19 +27,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from . import rwp as rwp_proto
 from .beliefs import EvidenceCounts, bayes_posterior2
 from .qad import OperatorChoice, quantize_observation, rate_of_change
-from .rwp import AddressedMatrix, MajorMatrix, RwpPhase, RwpState
-from .trustworthiness import (
-    BehaviorCounts,
-    Outcome,
-    TrustRecord,
-    system_trustworthiness,
-    update_counts,
-)
+from .rwp import AddressedMatrix
+from .trustworthiness import BehaviorCounts, Outcome, TrustRecord, update_counts
 
 TOPOLOGIES = ("ring", "grid", "geometric")
 ARCHITECTURES = ("p2p", "sink")
@@ -218,16 +212,16 @@ class Scenario:
             self._check_edge(a, b, adjacency)
             self._check_link_changes(changes)
         for ev in self.link_events:
-            self._check_event_interval(ev.at)
+            self.check_event_interval(ev.at)
             self._check_edge(ev.a, ev.b, adjacency)
             self._check_link_changes(ev.changes)
         for at, addrs in sorted(self.mote_kills.items()):
-            self._check_event_interval(at)
+            self.check_event_interval(at)
             for addr in addrs:
                 if not 0 <= addr < self.motes:
                     raise ScenarioError(f"kill event names unknown mote {addr}")
 
-    def _check_event_interval(self, at: int) -> None:
+    def check_event_interval(self, at: int) -> None:
         if not 0 <= at < self.intervals:  # an event past the last interval would never fire
             raise ScenarioError(f"event interval must be in [0, {self.intervals - 1}], got {at}")
 
@@ -298,25 +292,22 @@ def build_topology(scenario: Scenario) -> dict[int, tuple[int, ...]]:
 
 @dataclass
 class MoteState:
-    """One mote: its battery, its protocol state, and its trust engine's memory."""
+    """One mote: its battery, its neighborhood assessments, and its trust engine."""
 
     addr: int
     energy: float
     capacity: float
     harvest_rate: float
     engine: Engine
-    rwp: RwpState
+    a_minor: AddressedMatrix
     alive: bool = True
     unconstrained: bool = False
-    counts_by_peer: dict[int, BehaviorCounts] = field(default_factory=dict)
-    evidence_by_peer: dict[int, EvidenceCounts] = field(default_factory=dict)
-    #: beta/bayes selection metric per peer, derived from the two stores above;
-    #: whatever changes a peer's counts or evidence must drop its entry
-    metric_by_peer: dict[int, float] = field(default_factory=dict)
+    trust: TrustEngine = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.energy <= 0.0 and not self.unconstrained:
             self.alive = False
+        self.trust = ENGINE_CLASSES[self.engine](self.addr, self.a_minor)
 
     def harvest(self, seconds: float) -> None:
         """Credit the interval's energy intake; dead motes stay dead."""
@@ -372,46 +363,97 @@ def safety_score(
     return min(1.0, max(0.0, score))
 
 
-def analyze(mote: MoteState, peer: int, obs: SafetyObservation, scenario: Scenario) -> float:
-    """Feed one observation of ``peer`` to the mote's trust engine; returns the score.
+class TrustEngine(Protocol):
+    """A mote's trust engine; `ENGINE_CLASSES` holds one implementation per `Engine`.
 
-    The engines digest the same score differently: the assessment engine
-    quantizes it into the neighborhood matrix, the behavior-count engine
-    tallies it against the misbehavior threshold, and the evidence engine
-    records (trusted, rate at reference, mostly up) as a joint observation.
+    ``metric`` rates a peer for selection, the highest winning; ``pair_records``
+    lists the mote's view of each peer it has one of, by ascending address.
     """
-    score = safety_score(obs, scenario.weights, scenario.ref_tx_rate, scenario.ref_response_time)
-    if mote.engine is Engine.QAD:
-        mote.rwp.a_minor.set(mote.addr, peer, quantize_observation(score))
-    elif mote.engine is Engine.BETA:
-        prior = mote.counts_by_peer.get(peer, BehaviorCounts())
-        outcome = Outcome.NORMAL if score >= scenario.misbehavior_threshold else Outcome.MISBEHAVIOR
-        mote.counts_by_peer[peer] = update_counts(prior, outcome)
-        mote.metric_by_peer.pop(peer, None)
-    else:
-        table = mote.evidence_by_peer.setdefault(peer, EvidenceCounts(evidence_arity=2))
-        table.record(
-            score >= scenario.misbehavior_threshold,
-            obs.tx_rate >= scenario.ref_tx_rate,
-            obs.uptime > 0.5,
-        )
-        mote.metric_by_peer.pop(peer, None)
-    return score
+
+    def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None: ...
+    def metric(self, peer: int) -> float: ...
+    def pair_records(self) -> list[PairRecord]: ...
 
 
-def _selection_metric(mote: MoteState, peer: int) -> float:
-    if mote.engine is Engine.QAD:
-        value = mote.rwp.a_minor.get(mote.addr, peer) if mote.rwp.a_minor.covers(peer) else None
+class QadTrust:
+    """Quintile assessments: each score, quantized, lands in the mote's own row of its minor."""
+
+    def __init__(self, addr: int, a_minor: AddressedMatrix):
+        self.addr = addr
+        self.a_minor = a_minor
+
+    def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None:
+        self.a_minor.set(self.addr, peer, quantize_observation(score))
+
+    def metric(self, peer: int) -> float:
+        value = self.a_minor.get(self.addr, peer) if self.a_minor.covers(peer) else None
         return -3.0 if value is None else float(value)  # unassessed ranks below the scale
-    metric = mote.metric_by_peer.get(peer)
-    if metric is None:  # evidence changed since the last look, or never looked
-        if mote.engine is Engine.BETA:
-            metric = TrustRecord.from_counts(mote.counts_by_peer.get(peer, BehaviorCounts())).combined
-        else:
-            table = mote.evidence_by_peer.get(peer)
-            metric = 0.5 if table is None else bayes_posterior2(table)
-        mote.metric_by_peer[peer] = metric
-    return metric
+
+    def pair_records(self) -> list[PairRecord]:
+        row = self.a_minor.row(self.addr)
+        return [PairRecord(self.addr, dst, float(row[dst])) for dst in sorted(row) if dst != self.addr]
+
+
+class _CachedTrust:
+    """Per-peer evidence plus the selection metric derived from it, kept until the evidence changes."""
+
+    def __init__(self, addr: int, a_minor: AddressedMatrix):
+        self.addr = addr
+        self.evidence: dict = {}  # peer -> what the engine has recorded about it
+        self._metric: dict[int, float] = {}  # observe drops a peer's entry, metric refills it
+
+    def metric(self, peer: int) -> float:
+        value = self._metric.get(peer)
+        if value is None:  # evidence changed since the last look, or never looked
+            value = self._metric[peer] = self._derive(peer)
+        return value
+
+
+class BetaTrust(_CachedTrust):
+    """Behavior counts: each score is a normal or a misbehaving interaction against the threshold."""
+
+    def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None:
+        outcome = Outcome.NORMAL if score >= scenario.misbehavior_threshold else Outcome.MISBEHAVIOR
+        self.evidence[peer] = update_counts(self.evidence.get(peer, BehaviorCounts()), outcome)
+        self._metric.pop(peer, None)
+
+    def _derive(self, peer: int) -> float:
+        return TrustRecord.from_counts(self.evidence.get(peer, BehaviorCounts())).combined
+
+    def pair_records(self) -> list[PairRecord]:
+        out = []
+        for dst in sorted(self.evidence):
+            rec = TrustRecord.from_counts(self.evidence[dst])
+            out.append(PairRecord(self.addr, dst, rec.combined, rec.trust, rec.confidence, rec.combined))
+        return out
+
+
+class BayesTrust(_CachedTrust):
+    """Evidence counts: (trusted, rate at reference, mostly up) recorded as one joint observation."""
+
+    def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None:
+        self.evidence.setdefault(peer, EvidenceCounts(evidence_arity=2)).record(
+            score >= scenario.misbehavior_threshold, obs.tx_rate >= scenario.ref_tx_rate, obs.uptime > 0.5
+        )
+        self._metric.pop(peer, None)
+
+    def _derive(self, peer: int) -> float:
+        table = self.evidence.get(peer)
+        return 0.5 if table is None else bayes_posterior2(table)
+
+    def pair_records(self) -> list[PairRecord]:
+        return [PairRecord(self.addr, dst, self.metric(dst)) for dst in sorted(self.evidence)]
+
+
+#: The one place an `Engine` turns into behavior; a new engine is a class and an entry here.
+ENGINE_CLASSES = {Engine.QAD: QadTrust, Engine.BETA: BetaTrust, Engine.BAYES: BayesTrust}
+
+
+def analyze(mote: MoteState, peer: int, obs: SafetyObservation, scenario: Scenario) -> float:
+    """Score one observation of ``peer`` and feed it to the mote's trust engine; returns the score."""
+    score = safety_score(obs, scenario.weights, scenario.ref_tx_rate, scenario.ref_response_time)
+    mote.trust.observe(peer, score, obs, scenario)
+    return score
 
 
 def select_peer(mote: MoteState, candidates: Iterable[int]) -> int:
@@ -421,11 +463,12 @@ def select_peer(mote: MoteState, candidates: Iterable[int]) -> int:
         raise ValueError("peer selection needs at least one candidate")
     if mote.addr in ordered:
         raise ValueError("a mote cannot select itself")
-    best, best_metric = ordered[0], _selection_metric(mote, ordered[0])
+    metric = mote.trust.metric
+    best, best_metric = ordered[0], metric(ordered[0])
     for peer in ordered[1:]:
-        metric = _selection_metric(mote, peer)
-        if metric > best_metric:
-            best, best_metric = peer, metric
+        value = metric(peer)
+        if value > best_metric:
+            best, best_metric = peer, value
     return best
 
 
@@ -526,7 +569,7 @@ class _Simulation:
                 capacity=scenario.capacity,
                 harvest_rate=scenario.harvest_rate,
                 engine=scenario.engine,
-                rwp=RwpState(addr=a, theta=scenario.theta_base, a_minor=minor),
+                a_minor=minor,
                 unconstrained=sink,
             )
         self.theta = scenario.theta_base
@@ -636,8 +679,8 @@ class _Simulation:
     def _merge_row(self, mote: MoteState, peer: int, row: dict[int, int]) -> None:
         # the poll reply carries the peer's own assessment row; keep what overlaps
         for subject, value in row.items():
-            if mote.rwp.a_minor.covers(subject):
-                mote.rwp.a_minor.set(peer, subject, value)
+            if mote.a_minor.covers(subject):
+                mote.a_minor.set(peer, subject, value)
 
     def _apply_link_events(self, k: int) -> None:
         for edge in sorted(self.truths):
@@ -664,11 +707,8 @@ class _Simulation:
         self._apply_link_events(k)
 
         # ---- monitoring: poll neighbors, score links, feed the engine
-        if k > 0:
-            for mote in self._alive_motes():
-                mote.rwp.begin_phase(RwpPhase.MONITORING)
-        row_snapshots = {m.addr: m.rwp.a_minor.row(m.addr) for m in self._alive_motes()}
-        prev_minors = {m.addr: m.rwp.a_minor.matrix.copy() for m in self._alive_motes()}
+        row_snapshots = {m.addr: m.a_minor.row(m.addr) for m in self._alive_motes()}
+        prev_minors = {m.addr: m.a_minor.matrix.copy() for m in self._alive_motes()}
         for a in self.society:
             mote = self.motes[a]
             if not mote.alive:
@@ -700,16 +740,13 @@ class _Simulation:
             mote = self.motes[a]
             if not mote.alive or a not in prev_minors:
                 continue
-            mote.rwp.roc = rate_of_change(prev_minors[a], mote.rwp.a_minor.matrix)
-            mote.rwp.pcp = rwp_proto.compute_pcp(mote.energy, mote.harvest_rate, theta, mote.capacity)
+            roc = rate_of_change(prev_minors.pop(a), mote.a_minor.matrix)  # freed before the aggregation peak
+            pcp = rwp_proto.compute_pcp(mote.energy, mote.harvest_rate, theta, mote.capacity)
             charge_energy(mote, "compute", costs)
             if mote.alive:
-                pcp_map[a] = mote.rwp.pcp
-                roc_map[a] = mote.rwp.roc
+                pcp_map[a], roc_map[a] = pcp, roc
 
         # ---- announcing: flood (address, PCP); collapsed under a sink
-        for mote in self._alive_motes():
-            mote.rwp.begin_phase(RwpPhase.ANNOUNCING)
         announcements: list[tuple[int, int]] = []
         floods = 0
         if sc.architecture == "p2p":
@@ -722,8 +759,6 @@ class _Simulation:
                 announcements.append((a, pcp_map[a]))
 
         # ---- electing
-        for mote in self._alive_motes():
-            mote.rwp.begin_phase(RwpPhase.ELECTING)
         elected: int | None = None
         backup: int | None = None
         if sc.architecture == "sink":
@@ -735,43 +770,38 @@ class _Simulation:
                 backup = order[1]
 
         # ---- serving
-        for mote in self._alive_motes():
-            mote.rwp.begin_phase(RwpPhase.SERVING, elected, backup)
         self._apply_kills(k)  # scripted failures land mid-interval, after the election
         provider: int | None = None
         if elected is not None:
             provider = rwp_proto.failover(elected, backup, self._alive)
 
         theta_next = theta  # an unserved interval keeps the current period
-        major: MajorMatrix | None = None
         minors_sent = minors_delivered = 0
         if provider is not None:
             host = self.motes[provider]
-            minors = [(provider, host.rwp.a_minor.copy(), sc.qad_operator)]
-            rocs = [host.rwp.roc]
+            # uploads pass the live matrices: nothing writes them before aggregate_major reads them
+            minors = [(provider, host.a_minor, sc.qad_operator)]
+            rocs = [roc_map[provider]]
             for a in self.society:
                 mote = self.motes[a]
                 if a == provider or not mote.alive:
                     continue
                 minors_sent += 1
                 if self._unicast(a, provider):
-                    minors.append((a, mote.rwp.a_minor.copy(), sc.qad_operator))
-                    rocs.append(mote.rwp.roc)
+                    minors.append((a, mote.a_minor, sc.qad_operator))
+                    rocs.append(roc_map[a])
                     minors_delivered += 1
             if host.alive:
                 charge_energy(host, "compute", costs)  # aggregation
             if host.alive:
-                major = rwp_proto.aggregate_major(minors, self.society, k, rng=self.hop_rng)
+                rwp_proto.aggregate_major(minors, self.society, k, rng=self.hop_rng)  # no output reads it
                 theta_next = rwp_proto.next_interval(rocs, sc.theta_base, sc.theta_min, sc.theta_max)
-                major.theta_next = theta_next
                 charge_energy(host, "compute", costs)
-                if host.alive:
-                    self._flood(provider)  # push the aggregate and next period out
-                    floods += 1
-                else:
-                    provider, major, theta_next = None, None, theta
+            if host.alive:
+                self._flood(provider)  # push the aggregate and next period out
+                floods += 1
             else:
-                provider, major, theta_next = None, None, theta
+                provider, theta_next = None, theta
 
         # ---- peer selection, trust queries, greedily routed traffic
         selections: dict[int, int] = {}
@@ -785,16 +815,11 @@ class _Simulation:
                 continue
             choice = select_peer(mote, candidates)
             selections[a] = choice
-            if provider is None or major is None:
+            if provider is None:
                 continue
-            queries_sent += 1
-            if a == provider:
-                rwp_proto.handle_query(major, choice, self.society)
+            queries_sent += 1  # about ``choice``; a remote asker's query and answer each cost a unicast
+            if a == provider or (self._unicast(a, provider) and self._unicast(provider, a)):
                 queries_answered += 1
-            elif self._unicast(a, provider) and self._alive(provider):
-                rwp_proto.handle_query(major, choice, self.society)
-                if self._unicast(provider, a):
-                    queries_answered += 1
             if a != provider:
                 app_sent += 1
                 if self._route_greedy(a, provider):
@@ -803,7 +828,6 @@ class _Simulation:
         # ---- wrap up: harvest, then photograph the interval
         for mote in self._alive_motes():
             mote.harvest(theta)
-            mote.rwp.theta = theta_next
         mote_records = []
         for a in self.society:
             mote = self.motes[a]
@@ -829,7 +853,7 @@ class _Simulation:
                 service_gap=provider is None,
                 announcements=tuple(announcements),
                 motes=tuple(mote_records),
-                pairs=tuple(self._pair_records()),
+                pairs=tuple(p for a in self.society if self._alive(a) for p in self.motes[a].trust.pair_records()),
                 stats=MessageStats(
                     floods=floods,
                     minors_sent=minors_sent,
@@ -843,35 +867,10 @@ class _Simulation:
         )
         self.theta = theta_next
 
-    def _pair_records(self) -> list[PairRecord]:
-        out: list[PairRecord] = []
-        for a in self.society:
-            mote = self.motes[a]
-            if not mote.alive:
-                continue
-            if mote.engine is Engine.QAD:
-                row = mote.rwp.a_minor.row(a)
-                for dst in sorted(row):
-                    if dst != a:
-                        out.append(PairRecord(a, dst, float(row[dst])))
-            elif mote.engine is Engine.BETA:
-                for dst in sorted(mote.counts_by_peer):
-                    rec = TrustRecord.from_counts(mote.counts_by_peer[dst])
-                    out.append(PairRecord(a, dst, rec.combined, rec.trust, rec.confidence, rec.combined))
-            else:
-                for dst in sorted(mote.evidence_by_peer):
-                    out.append(PairRecord(a, dst, bayes_posterior2(mote.evidence_by_peer[dst])))
-        return out
-
     def final_system_trustworthiness(self) -> float | None:
-        records = [
-            TrustRecord.from_counts(counts)
-            for a in self.society
-            for _, counts in sorted(self.motes[a].counts_by_peer.items())
-        ]
-        if not records:
-            return None
-        return system_trustworthiness(records)
+        """Mean combined trustworthiness over every pair that carries one, dead observers too."""
+        combined = [p.combined for m in self.motes.values() for p in m.trust.pair_records() if p.combined is not None]
+        return math.fsum(combined) / len(combined) if combined else None
 
 
 def run(scenario: Scenario) -> SimulationTrace:

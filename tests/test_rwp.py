@@ -304,5 +304,3 @@ class TestMajorMatrix:
         m = AssessmentMatrix.filled(1)
         with pytest.raises(ValueError):
             MajorMatrix(m, interval_index=-1)
-        with pytest.raises(ValueError):
-            MajorMatrix(m, interval_index=0, theta_next=0.0)

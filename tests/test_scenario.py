@@ -183,6 +183,24 @@ class TestErrors:
     def test_events_past_the_last_interval_rejected(self, event):
         assert "event interval" in error_of(f"[network]\nmotes = 4\nintervals = 2\n[events]\n{event}\n")
 
+    # range errors found after parsing name the line of the offending key or event
+    def test_negative_cost_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\n[energy]\ntx_cost_j = -1\nrx_cost_j = 0.01\n")
+        assert msg.startswith("line 4:") and "energy costs" in msg
+
+    def test_default_link_out_of_range_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\n[links]\nlink_quality = 1.5\nnoise_scale = 0.1\n")
+        assert msg.startswith("line 4:") and "link_quality 1.5" in msg
+
+    def test_link_override_out_of_range_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\n[links]\n0-1.uptime = 2\n1-2.uptime = 0.5\n")
+        assert msg.startswith("line 4:") and "uptime 2.0" in msg
+
+    def test_kill_past_the_run_names_its_line(self):
+        text = "[network]\nmotes = 4\nintervals = 2\n[events]\nat=3 mote=1 action=kill\nat=1 mote=2 action=kill\n"
+        msg = error_of(text)
+        assert msg.startswith("line 5:") and "event interval must be in [0, 1], got 3" in msg
+
     def test_event_in_the_last_interval_accepted(self):
         s = parse_scenario("[network]\nmotes = 4\nintervals = 2\n[events]\nat=1 mote=1 action=kill\n")
         assert s.mote_kills == {1: (1,)}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from motetrust.rwp import AddressedMatrix, RwpState
+from motetrust.rwp import AddressedMatrix
 from motetrust.simnet import (
     Engine,
     EnergyCosts,
@@ -28,9 +28,8 @@ DEFAULT_TRUTH = LinkTruth()
 def make_mote(engine, addr=0, peers=(1, 2), energy=100.0):
     minor = AddressedMatrix([addr, *peers])
     minor.set(addr, addr, 2)
-    rwp = RwpState(addr=addr, theta=60.0, a_minor=minor)
     return MoteState(
-        addr=addr, energy=energy, capacity=100.0, harvest_rate=0.0, engine=engine, rwp=rwp
+        addr=addr, energy=energy, capacity=100.0, harvest_rate=0.0, engine=engine, a_minor=minor
     )
 
 
@@ -125,7 +124,7 @@ class TestAnalyze:
         scenario = Scenario()
         score = analyze(mote, 1, obs, scenario)
         assert score >= 0.8
-        assert mote.rwp.a_minor.get(0, 1) == 2
+        assert mote.a_minor.get(0, 1) == 2
 
     def test_beta_tallies_against_threshold(self):
         mote = make_mote(Engine.BETA)
@@ -134,27 +133,27 @@ class TestAnalyze:
         scenario = Scenario()
         analyze(mote, 1, good, scenario)
         analyze(mote, 1, bad, scenario)
-        counts = mote.counts_by_peer[1]
+        counts = mote.trust.evidence[1]
         assert (counts.normal, counts.misbehavior) == (2.0, 2.0)
 
     def test_bayes_records_joint_evidence(self):
         mote = make_mote(Engine.BAYES)
         obs = SafetyObservation(0.9, 250_000.0, 10.0, 0.99)
         analyze(mote, 1, obs, Scenario())
-        table = mote.evidence_by_peer[1]
+        table = mote.trust.evidence[1]
         assert table.count(hypothesis=True, d1=True, d2=True) == 1
 
 
 class TestSelectPeer:
     def test_qad_prefers_higher_assessment(self):
         mote = make_mote(Engine.QAD)
-        mote.rwp.a_minor.set(0, 1, -1)
-        mote.rwp.a_minor.set(0, 2, 1)
+        mote.a_minor.set(0, 1, -1)
+        mote.a_minor.set(0, 2, 1)
         assert select_peer(mote, [1, 2]) == 2
 
     def test_unassessed_ranks_below_everything(self):
         mote = make_mote(Engine.QAD)
-        mote.rwp.a_minor.set(0, 2, -2)
+        mote.a_minor.set(0, 2, -2)
         assert select_peer(mote, [1, 2]) == 2
 
     def test_tie_goes_to_lowest_address(self):
@@ -180,6 +179,39 @@ class TestSelectPeer:
             select_peer(mote, [])
         with pytest.raises(ValueError):
             select_peer(mote, [0, 1])
+
+
+class TestEngineContract:
+    """Pair records and selection read the same per-peer metric, whatever the engine."""
+
+    GOOD = SafetyObservation(0.9, 250_000.0, 10.0, 0.99)
+    BAD = SafetyObservation(0.1, 1_000.0, 400.0, 0.2)
+
+    @pytest.mark.parametrize("engine", list(Engine))
+    @pytest.mark.parametrize(
+        "history",
+        [
+            # peers 2 and 3 see the same history, so they tie; peer 1 is worse
+            [(3, "GOOD"), (1, "BAD"), (2, "GOOD"), (1, "GOOD"), (3, "GOOD"), (2, "GOOD")],
+            # only peer 3 has nothing but good news
+            [(1, "BAD"), (2, "BAD"), (3, "GOOD"), (2, "GOOD"), (1, "BAD")],
+            # nothing but bad news, spread evenly: all three tie
+            [(3, "BAD"), (2, "BAD"), (1, "BAD")],
+        ],
+    )
+    def test_pair_metrics_and_selection_agree(self, engine, history):
+        mote = make_mote(engine, peers=(1, 2, 3))
+        for peer, kind in history:
+            analyze(mote, peer, getattr(self, kind), Scenario())
+            select_peer(mote, [1, 2, 3])  # reads every metric between observations
+        pairs = mote.trust.pair_records()
+        assert [p.dst for p in pairs] == [1, 2, 3]
+        assert all(p.src == 0 for p in pairs)
+        for pair in pairs:
+            assert pair.metric == mote.trust.metric(pair.dst)
+        best = max(p.metric for p in pairs)
+        expected = min(p.dst for p in pairs if p.metric == best)
+        assert select_peer(mote, [3, 1, 2]) == expected
 
 
 class TestChargeEnergy:
@@ -208,11 +240,9 @@ class TestChargeEnergy:
         assert mote.energy == 0.0
 
     def test_unconstrained_motes_ignore_costs(self):
-        minor = AddressedMatrix([0])
-        rwp = RwpState(addr=0, theta=60.0, a_minor=minor)
         mote = MoteState(
             addr=0, energy=5.0, capacity=5.0, harvest_rate=0.0,
-            engine=Engine.BETA, rwp=rwp, unconstrained=True,
+            engine=Engine.BETA, a_minor=AddressedMatrix([0]), unconstrained=True,
         )
         charge_energy(mote, "tx", EnergyCosts())
         assert mote.energy == 5.0
