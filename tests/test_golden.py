@@ -35,9 +35,9 @@ architecture = {architecture}
 engine = {engine}
 
 [energy]
-capacity_j = 1000
-init_j = 1000
-harvest_j_per_s = 0.5
+capacity_j = {capacity}
+init_j = {init}
+harvest_j_per_s = {harvest}
 """
 
 _EVENTS = """
@@ -47,9 +47,19 @@ at=3 mote=0 action=kill
 """
 
 
-def _text(topology, engine, motes=16, intervals=4, seed=5, architecture="p2p", events=""):
+def _text(
+    topology, engine, motes=16, intervals=4, seed=5, architecture="p2p", events="", capacity=1000, init=1000, harvest=0.5
+):
     body = _BASE.format(
-        motes=motes, intervals=intervals, topology=topology, seed=seed, architecture=architecture, engine=engine
+        motes=motes,
+        intervals=intervals,
+        topology=topology,
+        seed=seed,
+        architecture=architecture,
+        engine=engine,
+        capacity=capacity,
+        init=init,
+        harvest=harvest,
     )
     return body + events
 
@@ -63,6 +73,8 @@ CASES = {
     },
     "grid-bayes-sink": _text("grid", "bayes", motes=9, intervals=3, architecture="sink"),
     "ring-beta-events": _text("ring", "beta", motes=8, intervals=5, events=_EVENTS),
+    # small batteries and no harvest: motes die on tx and on rx in polls, floods, unicasts and greedy hops
+    "geometric-beta-drain": _text("geometric", "beta", intervals=6, seed=2, capacity=10, init=2.5, harvest=0),
 }
 
 GOLDEN = {
@@ -80,6 +92,11 @@ GOLDEN = {
         'motes.csv': '09fc08bf1e718ad23828d06ad41e5487ce82162963f57166be5cbc4de06510d4',
         'pairs.csv': 'd6d505326163d56249f5fe6013ec858aa65e009bacf24a174136541406288bbb',
         'summary.txt': '6f1d1d66d3a532072283036790b0f6afe34e2ecbb79d81c4a6ddbb9f93a0856f',
+    },
+    'geometric-beta-drain': {
+        'motes.csv': 'bbf4bcef8d9a4ed5a2e77834275954f11be6d12fc0b204b1017f8aa65b1fc6d5',
+        'pairs.csv': 'edb4f50caa4e2a298e0828156719198727e56b3f1a102326e4b2da50db698357',
+        'summary.txt': '2a895a2f4e10f5e1708d365c51adb72b51043bc8864d41217175603cd093dcb8',
     },
     'geometric-qad': {
         'motes.csv': '3a42b83f5d08636001318621243b2e1e6555237e04006c5b3451ba4836209ec7',
