@@ -61,6 +61,7 @@ from .simnet import (
     Scenario,
     ScenarioError,
     SafetyWeights,
+    build_topology,
 )
 
 _SECTION_RE = re.compile(r"\[([a-z]+)\]")
@@ -148,9 +149,10 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate scenario text; raises ScenarioError with line numbers."""
     plain: dict[str, tuple[str, int]] = {}  # "section.key" -> (value, line)
     overrides: dict[tuple[int, int], dict[str, float]] = {}
+    override_lines: dict[tuple[int, int], int] = {}  # edge -> line of its first override
     link_events: list[LinkEvent] = []
     mote_kills: dict[int, list[int]] = {}
-    event_lines: list[tuple[int, int]] = []  # (line, at) of every event
+    event_lines: list[tuple[int, LinkEvent | tuple[int, int]]] = []  # (line, link event or (at, mote) kill)
     seen_sections: set[str] = set()
     section: str | None = None
 
@@ -184,6 +186,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"unknown link field {field_key!r}", lineno)
             edge = (min(a, b), max(a, b))
             per_link = overrides.setdefault(edge, {})
+            override_lines.setdefault(edge, lineno)
             attr = _LINK_KEYS[field_key]
             if attr in per_link:
                 raise ScenarioError(f"duplicate override {key!r}", lineno)
@@ -206,26 +209,28 @@ def parse_scenario(text: str) -> Scenario:
         return _at_line(lineno, caster, value, full.split(".", 1)[1], lineno)
 
     kwargs: dict = {}
+    field_lines: dict[str, int] = {}  # Scenario field -> line of its key
 
-    def put(name: str, value) -> None:
-        if value is not None:
-            kwargs[name] = value
+    def put(name: str, full: str, caster) -> None:
+        if full in plain:
+            field_lines[name] = plain[full][1]
+            kwargs[name] = take(full, caster)
 
-    put("motes", take("network.motes", _as_int))
-    put("intervals", take("network.intervals", _as_int))
-    put("topology", take("network.topology", lambda v, _k, _l: v.lower()))
-    put("radius", take("network.radius", _as_float))
-    put("seed", take("network.seed", _as_int))
-    put("theta_base", take("rwp.theta_base_s", _as_float))
-    put("theta_min", take("rwp.theta_min_s", _as_float))
-    put("theta_max", take("rwp.theta_max_s", _as_float))
-    put("failover", take("rwp.failover", _as_bool))
-    put("architecture", take("rwp.architecture", lambda v, _k, _l: v.lower()))
-    put("engine", take("trust.engine", lambda v, k, l: _as_enum(Engine, v, k, l)))
-    put("misbehavior_threshold", take("trust.misbehavior_threshold", _as_float))
-    put("qad_operator", take("trust.qad_operator", lambda v, k, l: _as_enum(OperatorChoice, v, k, l)))
-    put("ref_tx_rate", take("trust.ref_tx_rate_bps", _as_float))
-    put("ref_response_time", take("trust.ref_response_time_ms", _as_float))
+    put("motes", "network.motes", _as_int)
+    put("intervals", "network.intervals", _as_int)
+    put("topology", "network.topology", lambda v, _k, _l: v.lower())
+    put("radius", "network.radius", _as_float)
+    put("seed", "network.seed", _as_int)
+    put("theta_base", "rwp.theta_base_s", _as_float)
+    put("theta_min", "rwp.theta_min_s", _as_float)
+    put("theta_max", "rwp.theta_max_s", _as_float)
+    put("failover", "rwp.failover", _as_bool)
+    put("architecture", "rwp.architecture", lambda v, _k, _l: v.lower())
+    put("engine", "trust.engine", lambda v, k, l: _as_enum(Engine, v, k, l))
+    put("misbehavior_threshold", "trust.misbehavior_threshold", _as_float)
+    put("qad_operator", "trust.qad_operator", lambda v, k, l: _as_enum(OperatorChoice, v, k, l))
+    put("ref_tx_rate", "trust.ref_tx_rate_bps", _as_float)
+    put("ref_response_time", "trust.ref_response_time_ms", _as_float)
 
     if "trust.weights" in plain:
         value, lineno = plain.pop("trust.weights")
@@ -242,9 +247,9 @@ def parse_scenario(text: str) -> Scenario:
             cost_kwargs[attr] = got
     if cost_kwargs:
         kwargs["costs"] = EnergyCosts(**cost_kwargs)
-    put("capacity", take("energy.capacity_j", _as_float))
-    put("init_energy", take("energy.init_j", _as_float))
-    put("harvest_rate", take("energy.harvest_j_per_s", _as_float))
+    put("capacity", "energy.capacity_j", _as_float)
+    put("init_energy", "energy.init_j", _as_float)
+    put("harvest_rate", "energy.harvest_j_per_s", _as_float)
 
     link_kwargs: dict[str, float] = {}
     for file_key, attr in _LINK_KEYS.items():
@@ -264,10 +269,19 @@ def parse_scenario(text: str) -> Scenario:
         link_events=link_events,
         mote_kills={at: tuple(sorted(addrs)) for at, addrs in mote_kills.items()},
     )
-    if scenario.intervals >= 1:  # otherwise validate reports intervals, not the events
-        for lineno, at in event_lines:
-            _at_line(lineno, scenario.check_event_interval, at)
-    scenario.validate()
+    # Scenario.validate's checks in its order, each raised at the line it checks
+    for name, lineno in field_lines.items():
+        _at_line(lineno, scenario.check_field, name)
+    scenario.check_settings()  # cross-field checks have no one line
+    adjacency = build_topology(scenario)
+    for (a, b), lineno in sorted(override_lines.items()):
+        _at_line(lineno, scenario.check_link, a, b, overrides[(a, b)], adjacency)
+    for lineno, ev in event_lines:
+        if isinstance(ev, LinkEvent):
+            _at_line(lineno, scenario.check_event_interval, ev.at)
+            _at_line(lineno, scenario.check_link, ev.a, ev.b, ev.changes, adjacency)
+        else:
+            _at_line(lineno, scenario.check_kill, *ev)
     return scenario
 
 
@@ -276,8 +290,8 @@ def _parse_event(
     lineno: int,
     link_events: list[LinkEvent],
     mote_kills: dict[int, list[int]],
-) -> int:
-    """Add one event line to the link events or the kills; returns its interval."""
+) -> LinkEvent | tuple[int, int]:
+    """Add one event line to the link events or the kills; returns the link event or the kill's (at, mote)."""
     tokens: dict[str, str] = {}
     for tok in line.split():
         if "=" not in tok:
@@ -299,6 +313,7 @@ def _parse_event(
         if not changes:
             raise ScenarioError("link event changes nothing", lineno)
         link_events.append(LinkEvent(at, a, b, changes))
+        return link_events[-1]
     elif "mote" in tokens:
         addr = _as_int(tokens.pop("mote"), "mote", lineno)
         if tokens.pop("action", None) != "kill":
@@ -306,9 +321,8 @@ def _parse_event(
         if tokens:
             raise ScenarioError(f"unexpected event tokens {sorted(tokens)}", lineno)
         mote_kills.setdefault(at, []).append(addr)
-    else:
-        raise ScenarioError("event needs link=A-B or mote=N", lineno)
-    return at
+        return at, addr
+    raise ScenarioError("event needs link=A-B or mote=N", lineno)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -2,29 +2,32 @@
 
 Builds a static radio topology, seeds per-link ground truth, and repeats
 the monitor / announce / elect / serve cycle for a configured number of
-intervals. Within an interval:
+intervals. ``_Simulation.run_interval`` runs one phase method after another:
 
-* every mote polls its neighbors, scores the link, and feeds the score to
-  its trust engine (quintile assessments, behavior tallies, or evidence
-  counts);
-* every mote floods an (address, PCP) announcement and the society elects
-  the interval's aggregation host, with an optional hot standby;
-* motes upload their neighborhood matrices to the host, which aggregates
-  them, adapts the next interval length to the reported churn, answers
-  trust queries, and receives one greedily trust-routed application
-  message per mote.
+* ``_monitor``: every mote polls its neighbors, scores the link, and feeds
+  the score to its trust engine (quintile assessments, behavior tallies,
+  or evidence counts); returns each mote's PCP and rate of change;
+* ``_announce``: every mote floods its (address, PCP) announcement;
+* ``_elect``: the society picks the interval's aggregation host, with an
+  optional hot standby;
+* ``_aggregate``: motes upload their neighborhood matrices to the host,
+  which aggregates them and adapts the next interval length to the
+  reported churn; returns that length, or None if the host died;
+* ``_serve``: each mote selects its most trusted neighbor, queries the
+  host, and greedily trust-routes one application message to it.
 
-Every action costs energy; a mote that hits zero is dead for good and
-neither sends nor receives. All randomness flows from named substreams of
-the scenario seed and every within-interval sweep runs in ascending
-address order, so a scenario reproduces the same trace byte for byte.
+Every action costs energy, and ``_hop`` bills every point-to-point radio
+hop. A mote that hits zero is dead for good and neither sends nor receives.
+All randomness flows from named substreams of the scenario seed and every
+within-interval sweep runs in ascending address order, so a scenario
+reproduces the same trace byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Protocol
@@ -38,6 +41,7 @@ from .trustworthiness import BehaviorCounts, Outcome, TrustRecord, update_counts
 TOPOLOGIES = ("ring", "grid", "geometric")
 ARCHITECTURES = ("p2p", "sink")
 SINK_ADDRESS = 0
+_MAX_MOTES = rwp_proto.MAX_SOCIETY_SIZE
 
 
 class Engine(Enum):
@@ -148,6 +152,22 @@ class LinkEvent:
     changes: dict[str, float]
 
 
+#: Scenario fields checked on their own: name -> (its scenario-file key, test, what the value must be).
+_FIELD_RULES = {
+    "motes": ("motes", lambda v: isinstance(v, int) and 1 <= v <= _MAX_MOTES, f"an integer in [1, {_MAX_MOTES}]"),
+    "intervals": ("intervals", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "topology": ("topology", lambda v: v in TOPOLOGIES, f"one of {TOPOLOGIES}"),
+    "architecture": ("architecture", lambda v: v in ARCHITECTURES, f"one of {ARCHITECTURES}"),
+    "engine": ("engine", lambda v: isinstance(v, Engine), "an Engine"),
+    "qad_operator": ("qad_operator", lambda v: isinstance(v, OperatorChoice), "an OperatorChoice"),
+    "misbehavior_threshold": ("misbehavior_threshold", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "ref_tx_rate": ("ref_tx_rate_bps", lambda v: v > 0.0, "positive"),
+    "ref_response_time": ("ref_response_time_ms", lambda v: v > 0.0, "positive"),
+    "capacity": ("capacity_j", lambda v: v > 0.0, "positive"),
+    "harvest_rate": ("harvest_j_per_s", lambda v: v >= 0.0, "non-negative"),
+}
+
+
 @dataclass
 class Scenario:
     """Everything a run depends on; `validate` is the single gatekeeper."""
@@ -178,67 +198,59 @@ class Scenario:
     mote_kills: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if not isinstance(self.motes, int) or self.motes < 1:
-            raise ScenarioError(f"motes must be an integer >= 1, got {self.motes}")
-        if self.motes > rwp_proto.MAX_SOCIETY_SIZE:
-            raise ScenarioError(f"motes must be <= {rwp_proto.MAX_SOCIETY_SIZE}, got {self.motes}")
-        if not isinstance(self.intervals, int) or self.intervals < 1:
-            raise ScenarioError(f"intervals must be an integer >= 1, got {self.intervals}")
-        if self.topology not in TOPOLOGIES:
-            raise ScenarioError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+        """Raise ScenarioError on the first bad setting; the parser runs the same checks at their lines."""
+        self.check_settings()
+        adjacency = build_topology(self)
+        for (a, b), changes in sorted(self.link_overrides.items()):
+            self.check_link(a, b, changes, adjacency)
+        for ev in self.link_events:
+            self.check_event_interval(ev.at)
+            self.check_link(ev.a, ev.b, ev.changes, adjacency)
+        for at, addrs in sorted(self.mote_kills.items()):
+            for addr in addrs:
+                self.check_kill(at, addr)
+
+    def check_settings(self) -> None:
+        """Every check but those on link overrides and events."""
+        for name in _FIELD_RULES:
+            self.check_field(name)
         if self.topology == "geometric" and self.radius <= 0.0:
             raise ScenarioError("geometric topology needs radius > 0")
         if not 0.0 < self.theta_min <= self.theta_base <= self.theta_max:
             raise ScenarioError("need 0 < theta_min_s <= theta_base_s <= theta_max_s")
-        if self.architecture not in ARCHITECTURES:
-            raise ScenarioError(f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}")
-        if not isinstance(self.engine, Engine):
-            raise ScenarioError(f"engine must be an Engine, got {self.engine!r}")
-        if not isinstance(self.qad_operator, OperatorChoice):
-            raise ScenarioError(f"qad_operator must be an OperatorChoice, got {self.qad_operator!r}")
-        if not 0.0 < self.misbehavior_threshold < 1.0:
-            raise ScenarioError(f"misbehavior_threshold must be in (0, 1), got {self.misbehavior_threshold}")
-        if self.ref_tx_rate <= 0.0 or self.ref_response_time <= 0.0:
-            raise ScenarioError("reference tx rate and response time must be positive")
-        if self.capacity <= 0.0:
-            raise ScenarioError(f"capacity_j must be positive, got {self.capacity}")
         if not 0.0 <= self.init_energy <= self.capacity:
             raise ScenarioError(f"init_j must be in [0, capacity_j], got {self.init_energy}")
-        if self.harvest_rate < 0.0:
-            raise ScenarioError(f"harvest_j_per_s must be non-negative, got {self.harvest_rate}")
         self.default_link.validate()
-        adjacency = build_topology(self)
-        for (a, b), changes in sorted(self.link_overrides.items()):
-            self._check_edge(a, b, adjacency)
-            self._check_link_changes(changes)
-        for ev in self.link_events:
-            self.check_event_interval(ev.at)
-            self._check_edge(ev.a, ev.b, adjacency)
-            self._check_link_changes(ev.changes)
-        for at, addrs in sorted(self.mote_kills.items()):
-            self.check_event_interval(at)
-            for addr in addrs:
-                if not 0 <= addr < self.motes:
-                    raise ScenarioError(f"kill event names unknown mote {addr}")
+
+    def check_field(self, name: str) -> None:
+        """The checks on field ``name`` that need no other field, if it has any."""
+        if name in _FIELD_RULES:
+            label, holds, must = _FIELD_RULES[name]
+            value = getattr(self, name)
+            if not holds(value):
+                raise ScenarioError(f"{label} must be {must}, got {value!r}")
 
     def check_event_interval(self, at: int) -> None:
         if not 0 <= at < self.intervals:  # an event past the last interval would never fire
             raise ScenarioError(f"event interval must be in [0, {self.intervals - 1}], got {at}")
 
-    def _check_edge(self, a: int, b: int, adjacency: dict[int, tuple[int, ...]]) -> None:
+    def check_link(self, a: int, b: int, changes: dict[str, float], adjacency: dict[int, tuple[int, ...]]) -> None:
+        """An override's or a link event's edge, and the fields it sets."""
         if not (0 <= a < self.motes and 0 <= b < self.motes) or a == b:
             raise ScenarioError(f"link {a}-{b} names invalid endpoints")
         if b not in adjacency[a]:
             raise ScenarioError(f"link {a}-{b} does not exist in the {self.topology} topology")
-
-    def _check_link_changes(self, changes: dict[str, float]) -> None:
         if not changes:
             raise ScenarioError("a link entry must set at least one field")
         for name in changes:
             if name not in LINK_FIELDS:
                 raise ScenarioError(f"unknown link field {name!r}")
-        probe = _merge_truth(self.default_link, changes)
-        probe.validate()
+        _merge_truth(self.default_link, changes).validate()
+
+    def check_kill(self, at: int, addr: int) -> None:
+        self.check_event_interval(at)
+        if not 0 <= addr < self.motes:
+            raise ScenarioError(f"kill event names unknown mote {addr}")
 
 
 def _merge_truth(base: LinkTruth, changes: dict[str, float]) -> LinkTruth:
@@ -635,21 +647,20 @@ class _Simulation:
                 queue.append(b)
         return None
 
+    def _hop(self, sender: MoteState, receiver: MoteState) -> bool:
+        """One radio hop: tx to the sender, rx to a live receiver; True if the receiver survives it."""
+        charge_energy(sender, "tx", self.sc.costs)  # the frame leaves even if it drains the sender
+        if receiver.alive:
+            charge_energy(receiver, "rx", self.sc.costs)
+        return receiver.alive
+
     def _unicast(self, src: int, dst: int) -> bool:
         """Hop-by-hop delivery along the shortest live path; False when it breaks."""
         path = self._shortest_path(src, dst)
         if path is None:
             return False
-        costs = self.sc.costs
-        for sender, receiver in zip(path, path[1:]):
-            s, r = self.motes[sender], self.motes[receiver]
-            if not s.alive:
-                return False
-            charge_energy(s, "tx", costs)
-            if not r.alive:
-                return False
-            charge_energy(r, "rx", costs)
-            if not r.alive:  # drained by the reception itself
+        for sender, receiver in zip(path, path[1:]):  # each receiver that survives sends the next hop
+            if not self._hop(self.motes[sender], self.motes[receiver]):
                 return False
         return True
 
@@ -663,15 +674,9 @@ class _Simulation:
             candidates = [b for b in self.adjacency[current] if self._alive(b)]
             if not candidates:
                 return False
-            nxt = select_peer(mote, candidates)
-            charge_energy(mote, "tx", self.sc.costs)
-            peer = self.motes[nxt]
-            if not peer.alive:
+            current = select_peer(mote, candidates)
+            if not self._hop(mote, self.motes[current]):
                 return False
-            charge_energy(peer, "rx", self.sc.costs)
-            if not peer.alive:
-                return False
-            current = nxt
             if current == dst:
                 return True
         return False
@@ -698,114 +703,88 @@ class _Simulation:
             if not mote.unconstrained:
                 mote.energy = 0.0
 
-    # -- one interval ---------------------------------------------------------
+    # -- the phases of one interval -------------------------------------------
 
-    def run_interval(self, k: int) -> None:
+    def _monitor(self, theta: float) -> tuple[dict[int, int], dict[int, int]]:
+        """Poll every neighbor and feed each scored link to the engine; returns the PCP and RoC maps."""
         sc = self.sc
-        costs = sc.costs
-        theta = self.theta
-        self._apply_link_events(k)
-
-        # ---- monitoring: poll neighbors, score links, feed the engine
-        row_snapshots = {m.addr: m.a_minor.row(m.addr) for m in self._alive_motes()}
-        prev_minors = {m.addr: m.a_minor.matrix.copy() for m in self._alive_motes()}
-        for a in self.society:
-            mote = self.motes[a]
-            if not mote.alive:
-                continue
-            for b in self.adjacency[a]:
+        polling = self._alive_motes()
+        row_snapshots = {m.addr: m.a_minor.row(m.addr) for m in polling}
+        prev_minors = {m.addr: m.a_minor.matrix.copy() for m in polling}
+        for mote in polling:
+            for b in self.adjacency[mote.addr]:
                 if not mote.alive:
                     break
                 peer = self.motes[b]
-                charge_energy(mote, "tx", costs)  # poll request
-                if not peer.alive:
-                    continue  # request goes unanswered
-                charge_energy(peer, "rx", costs)
-                if not peer.alive:
-                    continue
-                charge_energy(peer, "tx", costs)  # reply with safety data and own row
-                if not mote.alive:
-                    continue
-                charge_energy(mote, "rx", costs)
-                if not mote.alive:
-                    continue
-                obs = observe_link(self._truth(a, b), self.noise_rng)
-                analyze(mote, b, obs, sc)
-                charge_energy(mote, "compute", costs)
-                self._merge_row(mote, b, row_snapshots.get(b, {}))
+                if self._hop(mote, peer) and self._hop(peer, mote):  # request, then reply with safety data and row
+                    analyze(mote, b, observe_link(self._truth(mote.addr, b), self.noise_rng), sc)
+                    charge_energy(mote, "compute", sc.costs)
+                    self._merge_row(mote, b, row_snapshots.get(b, {}))
 
         pcp_map: dict[int, int] = {}
         roc_map: dict[int, int] = {}
+        for mote in polling:
+            if not mote.alive:
+                continue
+            roc = rate_of_change(prev_minors[mote.addr], mote.a_minor.matrix)
+            pcp = rwp_proto.compute_pcp(mote.energy, mote.harvest_rate, theta, mote.capacity)
+            charge_energy(mote, "compute", sc.costs)
+            if mote.alive:
+                pcp_map[mote.addr], roc_map[mote.addr] = pcp, roc
+        return pcp_map, roc_map
+
+    def _announce(self, pcp_map: dict[int, int]) -> list[tuple[int, int]]:
+        """Flood each live mote's (address, PCP), in address order; a sink collects none."""
+        if self.sc.architecture == "sink":
+            return []
+        announcements = []
+        for a, pcp in pcp_map.items():
+            if self._alive(a):  # an earlier flood may have drained it
+                self._flood(a)
+                announcements.append((a, pcp))
+        return announcements
+
+    def _elect(self, announcements: list[tuple[int, int]]) -> tuple[int | None, int | None]:
+        """The interval's host and its hot standby, either of which may be None."""
+        if self.sc.architecture == "sink":
+            return (SINK_ADDRESS if self._alive(SINK_ADDRESS) else None), None
+        if not announcements:
+            return None, None
+        order = rwp_proto.election_order(announcements)
+        return order[0], (order[1] if self.sc.failover and len(order) > 1 else None)
+
+    def _aggregate(self, k: int, provider: int, roc_map: dict[int, int], stats: Counter[str]) -> float | None:
+        """Upload the minors, aggregate them and flood the result; the next theta, or None if the host died."""
+        sc = self.sc
+        host = self.motes[provider]
+        # uploads pass the live matrices: nothing writes them before aggregate_major reads them
+        minors = [(provider, host.a_minor, sc.qad_operator)]
+        rocs = [roc_map[provider]]
         for a in self.society:
             mote = self.motes[a]
-            if not mote.alive or a not in prev_minors:
+            if a == provider or not mote.alive:
                 continue
-            roc = rate_of_change(prev_minors.pop(a), mote.a_minor.matrix)  # freed before the aggregation peak
-            pcp = rwp_proto.compute_pcp(mote.energy, mote.harvest_rate, theta, mote.capacity)
-            charge_energy(mote, "compute", costs)
-            if mote.alive:
-                pcp_map[a], roc_map[a] = pcp, roc
+            stats["minors_sent"] += 1
+            if self._unicast(a, provider):
+                minors.append((a, mote.a_minor, sc.qad_operator))
+                rocs.append(roc_map[a])
+                stats["minors_delivered"] += 1
+        if host.alive:
+            charge_energy(host, "compute", sc.costs)
+        if not host.alive:
+            return None
+        rwp_proto.aggregate_major(minors, self.society, k, rng=self.hop_rng)  # no output reads it
+        theta_next = rwp_proto.next_interval(rocs, sc.theta_base, sc.theta_min, sc.theta_max)
+        charge_energy(host, "compute", sc.costs)
+        if not host.alive:
+            return None
+        self._flood(provider)  # push the aggregate and next period out
+        stats["floods"] += 1
+        return theta_next
 
-        # ---- announcing: flood (address, PCP); collapsed under a sink
-        announcements: list[tuple[int, int]] = []
-        floods = 0
-        if sc.architecture == "p2p":
-            for a in self.society:
-                mote = self.motes[a]
-                if not mote.alive or a not in pcp_map:
-                    continue
-                self._flood(a)
-                floods += 1
-                announcements.append((a, pcp_map[a]))
-
-        # ---- electing
-        elected: int | None = None
-        backup: int | None = None
-        if sc.architecture == "sink":
-            elected = SINK_ADDRESS if self._alive(SINK_ADDRESS) else None
-        elif announcements:
-            order = rwp_proto.election_order(announcements)
-            elected = order[0]
-            if sc.failover and len(order) > 1:
-                backup = order[1]
-
-        # ---- serving
-        self._apply_kills(k)  # scripted failures land mid-interval, after the election
-        provider: int | None = None
-        if elected is not None:
-            provider = rwp_proto.failover(elected, backup, self._alive)
-
-        theta_next = theta  # an unserved interval keeps the current period
-        minors_sent = minors_delivered = 0
-        if provider is not None:
-            host = self.motes[provider]
-            # uploads pass the live matrices: nothing writes them before aggregate_major reads them
-            minors = [(provider, host.a_minor, sc.qad_operator)]
-            rocs = [roc_map[provider]]
-            for a in self.society:
-                mote = self.motes[a]
-                if a == provider or not mote.alive:
-                    continue
-                minors_sent += 1
-                if self._unicast(a, provider):
-                    minors.append((a, mote.a_minor, sc.qad_operator))
-                    rocs.append(roc_map[a])
-                    minors_delivered += 1
-            if host.alive:
-                charge_energy(host, "compute", costs)  # aggregation
-            if host.alive:
-                rwp_proto.aggregate_major(minors, self.society, k, rng=self.hop_rng)  # no output reads it
-                theta_next = rwp_proto.next_interval(rocs, sc.theta_base, sc.theta_min, sc.theta_max)
-                charge_energy(host, "compute", costs)
-            if host.alive:
-                self._flood(provider)  # push the aggregate and next period out
-                floods += 1
-            else:
-                provider, theta_next = None, theta
-
-        # ---- peer selection, trust queries, greedily routed traffic
+    def _serve(self, provider: int | None, stats: Counter[str]) -> dict[int, int]:
+        """Each live mote picks its most trusted neighbor, queries the host and routes one message to it."""
         selections: dict[int, int] = {}
-        queries_sent = queries_answered = app_sent = app_delivered = 0
         for a in self.society:
             mote = self.motes[a]
             if not mote.alive:
@@ -813,35 +792,48 @@ class _Simulation:
             candidates = [b for b in self.adjacency[a] if self._alive(b)]
             if not candidates:
                 continue
-            choice = select_peer(mote, candidates)
-            selections[a] = choice
+            selections[a] = select_peer(mote, candidates)
             if provider is None:
                 continue
-            queries_sent += 1  # about ``choice``; a remote asker's query and answer each cost a unicast
+            stats["queries_sent"] += 1  # a remote asker's query and answer each cost a unicast
             if a == provider or (self._unicast(a, provider) and self._unicast(provider, a)):
-                queries_answered += 1
+                stats["queries_answered"] += 1
             if a != provider:
-                app_sent += 1
+                stats["app_sent"] += 1
                 if self._route_greedy(a, provider):
-                    app_delivered += 1
+                    stats["app_delivered"] += 1
+        return selections
 
-        # ---- wrap up: harvest, then photograph the interval
+    # -- one interval ---------------------------------------------------------
+
+    def run_interval(self, k: int) -> None:
+        theta = self.theta
+        self._apply_link_events(k)
+        pcp_map, roc_map = self._monitor(theta)
+        announcements = self._announce(pcp_map)
+        elected, backup = self._elect(announcements)
+        self._apply_kills(k)  # scripted failures land mid-interval, after the election
+        provider = None if elected is None else rwp_proto.failover(elected, backup, self._alive)
+        stats: Counter[str] = Counter(floods=len(announcements))
+        theta_next = None if provider is None else self._aggregate(k, provider, roc_map, stats)
+        if theta_next is None:  # an unserved interval keeps the current period
+            provider, theta_next = None, theta
+        selections = self._serve(provider, stats)
+
         for mote in self._alive_motes():
             mote.harvest(theta)
-        mote_records = []
-        for a in self.society:
-            mote = self.motes[a]
-            mote_records.append(
-                MoteIntervalRecord(
-                    addr=a,
-                    alive=mote.alive,
-                    energy=mote.energy,
-                    pcp=pcp_map.get(a),
-                    roc=roc_map.get(a),
-                    is_hacp=(a == provider),
-                    selected_peer=selections.get(a),
-                )
+        mote_records = tuple(
+            MoteIntervalRecord(
+                addr=a,
+                alive=mote.alive,
+                energy=mote.energy,
+                pcp=pcp_map.get(a),
+                roc=roc_map.get(a),
+                is_hacp=(a == provider),
+                selected_peer=selections.get(a),
             )
+            for a, mote in self.motes.items()  # filled in address order
+        )
         self.records.append(
             IntervalRecord(
                 index=k,
@@ -852,17 +844,9 @@ class _Simulation:
                 backup_hacp=backup,
                 service_gap=provider is None,
                 announcements=tuple(announcements),
-                motes=tuple(mote_records),
+                motes=mote_records,
                 pairs=tuple(p for a in self.society if self._alive(a) for p in self.motes[a].trust.pair_records()),
-                stats=MessageStats(
-                    floods=floods,
-                    minors_sent=minors_sent,
-                    minors_delivered=minors_delivered,
-                    queries_sent=queries_sent,
-                    queries_answered=queries_answered,
-                    app_sent=app_sent,
-                    app_delivered=app_delivered,
-                ),
+                stats=MessageStats(**stats),
             )
         )
         self.theta = theta_next

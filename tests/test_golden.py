@@ -47,19 +47,11 @@ at=3 mote=0 action=kill
 """
 
 
-def _text(
-    topology, engine, motes=16, intervals=4, seed=5, architecture="p2p", events="", capacity=1000, init=1000, harvest=0.5
-):
+def _text(topology, engine, motes=16, intervals=4, seed=5, architecture="p2p", events="", **energy):
+    energy = {"capacity": 1000, "init": 1000, "harvest": 0.5, **energy}
     body = _BASE.format(
-        motes=motes,
-        intervals=intervals,
-        topology=topology,
-        seed=seed,
-        architecture=architecture,
-        engine=engine,
-        capacity=capacity,
-        init=init,
-        harvest=harvest,
+        motes=motes, intervals=intervals, topology=topology, seed=seed, architecture=architecture, engine=engine,
+        **energy,
     )
     return body + events
 

@@ -3,7 +3,8 @@
 Every topology, engine and architecture, failover on and off, batteries
 low enough that motes die mid-run, and scripted kills. Whatever the
 scenario, a run keeps energy within [0, capacity], never revives the dead,
-never delivers more than it sent, and repeats itself exactly.
+never delivers more than it sent, floods once per announcement and once
+per served aggregate, and repeats itself exactly.
 """
 
 from hypothesis import HealthCheck, find, given, settings
@@ -61,6 +62,7 @@ def test_run_invariants(scenario):
         assert s.app_delivered <= s.app_sent
         assert s.queries_answered <= s.queries_sent
         assert s.minors_delivered <= s.minors_sent
+        assert s.floods == len(rec.announcements) + (rec.active_hacp is not None)  # announcements, then the aggregate
     assert run(scenario) == trace
 
 

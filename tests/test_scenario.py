@@ -201,6 +201,32 @@ class TestErrors:
         msg = error_of(text)
         assert msg.startswith("line 5:") and "event interval must be in [0, 1], got 3" in msg
 
+    def test_zero_intervals_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\nintervals = 0\n")
+        assert msg.startswith("line 3:") and "intervals must be an integer >= 1, got 0" in msg
+
+    def test_negative_capacity_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\n[energy]\ncapacity_j = -5\n")
+        assert msg.startswith("line 4:") and "capacity_j must be positive, got -5.0" in msg
+
+    def test_override_on_a_missing_edge_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\ntopology = ring\n[links]\n0-1.uptime = 0.5\n0-5.uptime = 0.5\n")
+        assert msg.startswith("line 6:") and "link 0-5 names invalid endpoints" in msg
+
+    def test_link_event_on_a_missing_edge_names_its_line(self):
+        text = "[network]\nmotes = 4\ntopology = ring\n[events]\nat=1 link=0-1 uptime=0.5\nat=1 link=0-2 uptime=0.5\n"
+        msg = error_of(text)
+        assert msg.startswith("line 6:") and "link 0-2 does not exist in the ring topology" in msg
+
+    def test_kill_of_an_unknown_mote_names_its_line(self):
+        msg = error_of("[network]\nmotes = 4\n[events]\nat=1 mote=1 action=kill\nat=1 mote=9 action=kill\n")
+        assert msg.startswith("line 5:") and "kill event names unknown mote 9" in msg
+
+    def test_cross_field_errors_carry_no_line(self):
+        # the radius check outranks the override that it would otherwise leave without an edge
+        msg = error_of("[network]\nmotes = 4\ntopology = geometric\nradius = 0\n[links]\n0-1.uptime = 0.5\n")
+        assert msg == "geometric topology needs radius > 0"
+
     def test_event_in_the_last_interval_accepted(self):
         s = parse_scenario("[network]\nmotes = 4\nintervals = 2\n[events]\nat=1 mote=1 action=kill\n")
         assert s.mote_kills == {1: (1,)}
