@@ -489,7 +489,7 @@ def select_peer(mote: MoteState, candidates: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a trace holds one per mote per interval, so no __dict__ each
 class MoteIntervalRecord:
     addr: int
     alive: bool
@@ -500,7 +500,7 @@ class MoteIntervalRecord:
     selected_peer: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # and one per observed pair per interval
 class PairRecord:
     """One observer's view of one peer at the end of an interval."""
 
