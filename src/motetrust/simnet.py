@@ -769,8 +769,9 @@ class _Simulation:
                 minors.append((a, mote.a_minor, sc.qad_operator))
                 rocs.append(roc_map[a])
                 stats["minors_delivered"] += 1
-        if host.alive:
-            charge_energy(host, "compute", sc.costs)
+        if not host.alive:
+            return None
+        charge_energy(host, "compute", sc.costs)  # aggregation
         if not host.alive:
             return None
         rwp_proto.aggregate_major(minors, self.society, k, rng=self.hop_rng)  # no output reads it
