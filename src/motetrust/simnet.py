@@ -197,8 +197,11 @@ class Scenario:
     link_events: list[LinkEvent] = field(default_factory=list)
     mote_kills: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Raise ScenarioError on the first bad setting; the parser runs the same checks at their lines."""
+    def validate(self) -> dict[int, tuple[int, ...]]:
+        """Raise ScenarioError on the first bad setting, else return the topology checked against.
+
+        The parser runs the same checks at their lines.
+        """
         self.check_settings()
         adjacency = build_topology(self)
         for (a, b), changes in sorted(self.link_overrides.items()):
@@ -209,6 +212,7 @@ class Scenario:
         for at, addrs in sorted(self.mote_kills.items()):
             for addr in addrs:
                 self.check_kill(at, addr)
+        return adjacency
 
     def check_settings(self) -> None:
         """Every check but those on link overrides and events."""
@@ -329,12 +333,22 @@ class MoteState:
 
 def charge_energy(mote: MoteState, action: str, costs: EnergyCosts) -> MoteState:
     """Bill one action. Hitting zero kills the mote; dead motes are never billed."""
-    cost = costs.of(action)
-    if not mote.alive or mote.unconstrained:
-        return mote
-    mote.energy = max(0.0, mote.energy - cost)
-    if mote.energy == 0.0:
-        mote.alive = False
+    # EnergyCosts.of inlined: the simulator bills every hop through here
+    if action == "tx":
+        cost = costs.tx
+    elif action == "rx":
+        cost = costs.rx
+    elif action == "compute":
+        cost = costs.compute
+    else:
+        raise ValueError(f"unknown action {action!r}")
+    if mote.alive and not mote.unconstrained:
+        energy = mote.energy - cost
+        if energy > 0.0:
+            mote.energy = energy
+        else:  # an overdraw floors at zero, and zero is death
+            mote.energy = 0.0
+            mote.alive = False
     return mote
 
 
@@ -388,17 +402,24 @@ class TrustEngine(Protocol):
 
 
 class QadTrust:
-    """Quintile assessments: each score, quantized, lands in the mote's own row of its minor."""
+    """Quintile assessments: each score, quantized, lands in the mote's own row of its minor.
+
+    It holds that row of the minor's storage and the minor's address index,
+    so a read or a write is one dict lookup and one list access.
+    """
 
     def __init__(self, addr: int, a_minor: AddressedMatrix):
         self.addr = addr
         self.a_minor = a_minor
+        self._column = a_minor._index  # subject address -> column
+        self._row = a_minor.matrix._rows[a_minor.index_of(addr)]  # written in place, never replaced
 
     def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None:
-        self.a_minor.set(self.addr, peer, quantize_observation(score))
+        self._row[self.a_minor.index_of(peer)] = quantize_observation(score)
 
     def metric(self, peer: int) -> float:
-        value = self.a_minor.get(self.addr, peer) if self.a_minor.covers(peer) else None
+        column = self._column.get(peer)
+        value = None if column is None else self._row[column]
         return -3.0 if value is None else float(value)  # unassessed ranks below the scale
 
     def pair_records(self) -> list[PairRecord]:
@@ -554,9 +575,8 @@ class SimulationTrace:
 
 class _Simulation:
     def __init__(self, scenario: Scenario):
-        scenario.validate()
+        self.adjacency = scenario.validate()
         self.sc = scenario
-        self.adjacency = build_topology(scenario)
         self.noise_rng = random.Random(f"{scenario.seed}:noise")
         self.hop_rng = random.Random(f"{scenario.seed}:hop")
         self.society = list(range(scenario.motes))
@@ -600,8 +620,8 @@ class _Simulation:
 
     def _flood(self, origin: int) -> set[int]:
         """Duplicate-suppressed broadcast; returns the motes that processed it."""
-        costs = self.sc.costs
-        if not self._alive(origin):
+        motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
+        if not motes[origin].alive:
             return set()
         processed = {origin}
         frontier = [origin]
@@ -609,14 +629,16 @@ class _Simulation:
         while frontier and hops < self.sc.motes:
             next_frontier: list[int] = []
             for a in sorted(frontier):
-                mote = self.motes[a]
+                mote = motes[a]
                 if not mote.alive:  # died earlier in this flood, never transmitted
                     continue
                 charge_energy(mote, "tx", costs)  # the broadcast leaves even if it drains the sender
-                for b in self.adjacency[a]:
-                    peer = self.motes[b]
-                    if b in processed or not peer.alive:
+                for b in adjacency[a]:
+                    if b in processed:
                         continue  # duplicates are discarded without processing
+                    peer = motes[b]
+                    if not peer.alive:
+                        continue
                     charge_energy(peer, "rx", costs)
                     if peer.alive:
                         processed.add(b)
@@ -628,14 +650,15 @@ class _Simulation:
     def _shortest_path(self, src: int, dst: int) -> list[int] | None:
         if src == dst:
             return [src]
-        if not self._alive(src) or not self._alive(dst):
+        motes, adjacency = self.motes, self.adjacency
+        if not motes[src].alive or not motes[dst].alive:
             return None
         parents: dict[int, int | None] = {src: None}
         queue = deque([src])
         while queue:
             cur = queue.popleft()
-            for b in self.adjacency[cur]:  # ascending: deterministic parents
-                if b in parents or not self._alive(b):
+            for b in adjacency[cur]:  # ascending: deterministic parents
+                if b in parents or not motes[b].alive:
                     continue
                 parents[b] = cur
                 if b == dst:
@@ -649,9 +672,10 @@ class _Simulation:
 
     def _hop(self, sender: MoteState, receiver: MoteState) -> bool:
         """One radio hop: tx to the sender, rx to a live receiver; True if the receiver survives it."""
-        charge_energy(sender, "tx", self.sc.costs)  # the frame leaves even if it drains the sender
+        costs = self.sc.costs
+        charge_energy(sender, "tx", costs)  # the frame leaves even if it drains the sender
         if receiver.alive:
-            charge_energy(receiver, "rx", self.sc.costs)
+            charge_energy(receiver, "rx", costs)
         return receiver.alive
 
     def _unicast(self, src: int, dst: int) -> bool:
@@ -666,26 +690,31 @@ class _Simulation:
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""
+        motes, adjacency = self.motes, self.adjacency
         current = src
         for _ in range(self.sc.motes):
-            mote = self.motes[current]
+            mote = motes[current]
             if not mote.alive:
                 return False
-            candidates = [b for b in self.adjacency[current] if self._alive(b)]
+            candidates = [b for b in adjacency[current] if motes[b].alive]
             if not candidates:
                 return False
             current = select_peer(mote, candidates)
-            if not self._hop(mote, self.motes[current]):
+            if not self._hop(mote, motes[current]):
                 return False
             if current == dst:
                 return True
         return False
 
     def _merge_row(self, mote: MoteState, peer: int, row: dict[int, int]) -> None:
-        # the poll reply carries the peer's own assessment row; keep what overlaps
+        # the poll reply carries the peer's own assessment row, checked when the peer wrote it;
+        # keep what overlaps
+        column = mote.a_minor._index
+        peer_row = mote.a_minor.matrix._rows[column[peer]]
         for subject, value in row.items():
-            if mote.a_minor.covers(subject):
-                mote.a_minor.set(peer, subject, value)
+            k = column.get(subject)
+            if k is not None:
+                peer_row[k] = value
 
     def _apply_link_events(self, k: int) -> None:
         for edge in sorted(self.truths):

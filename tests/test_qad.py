@@ -29,6 +29,14 @@ def matrices(draw, max_n=5):
     return AssessmentMatrix([[draw(assessments) for _ in range(n)] for _ in range(n)])
 
 
+@st.composite
+def matrix_pairs(draw, max_n=5):
+    """Two matrices of one size; each entry of the second keeps the first's or takes a fresh draw."""
+    a = draw(matrices(max_n))
+    rows = [[a.entry(i, j) if draw(st.booleans()) else draw(assessments) for j in range(a.n)] for i in range(a.n)]
+    return a, AssessmentMatrix(rows)
+
+
 def single_entry(value, column_rest):
     """A matrix whose column 0 is (value, *column_rest); entry (0, 0) under test."""
     n = 1 + len(column_rest)
@@ -78,6 +86,20 @@ class TestAssessmentMatrix:
         c = m.copy()
         c.set_entry(0, 0, 2)
         assert m.entry(0, 0) == 0
+        m.set_entry(1, 1, -1)
+        assert c.entry(1, 1) == 0
+
+    def test_checked_accessors_reject_bad_indices(self):
+        m = AssessmentMatrix.filled(2, 0)
+        for bad in (-1, 2):
+            with pytest.raises(IndexError):
+                m.set_entry(0, bad, 1)
+            with pytest.raises(IndexError):
+                m.set_entry(bad, 0, 1)
+            with pytest.raises(IndexError):
+                m.row(bad)
+        with pytest.raises(ValueError):
+            m.set_entry(0, 0, 3)
 
 
 class TestOperators:
@@ -182,6 +204,28 @@ class TestStepSociety:
                 assert down in (before, before - 1)
 
 
+class TestStepSocietyOracle:
+    """step_society must give every entry what apply_operator gives it, drawing in row-major order."""
+
+    @given(matrices(max_n=7), st.data(), st.integers(0, 2**32))
+    @settings(max_examples=200)
+    def test_matches_apply_operator_cell_by_cell(self, m, data, seed):
+        ops = data.draw(st.lists(st.sampled_from(list(OperatorChoice)), min_size=m.n, max_size=m.n))
+        rng = random.Random(seed)
+        expected = AssessmentMatrix(
+            [[apply_operator(m, i, j, ops[i], rng) for j in range(m.n)] for i in range(m.n)]
+        )
+        step_rng = random.Random(seed)
+        assert step_society(m, ops, step_rng) == expected
+        assert step_rng.getstate() == rng.getstate()  # the same draws, no more
+
+    def test_hopping_without_rng_fails_only_on_a_defined_entry(self):
+        with pytest.raises(ValueError):
+            step_society(AssessmentMatrix([[None, 1], [None, None]]), [HOP, HOP])
+        out = step_society(AssessmentMatrix([[None, None], [0, None]]), [HOP, CON])
+        assert out == AssessmentMatrix([[None, None], [0, None]])
+
+
 class TestRateOfChange:
     def test_frozen_fractions(self):
         a = AssessmentMatrix([[0, 1, None], [2, None, -1], [1, 1, 1]])
@@ -201,6 +245,13 @@ class TestRateOfChange:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             rate_of_change(AssessmentMatrix.filled(2), AssessmentMatrix.filled(3))
+
+    @given(matrix_pairs())
+    @settings(max_examples=200)
+    def test_matches_an_entry_by_entry_count(self, pair):
+        a, b = pair
+        changed = sum(1 for i in range(a.n) for j in range(a.n) if a.entry(i, j) != b.entry(i, j))
+        assert rate_of_change(a, b) == max(1, min(10, 1 + (9 * changed) // (a.n * a.n)))
 
     @given(matrices())
     @settings(max_examples=60)

@@ -13,6 +13,7 @@ from motetrust.simnet import (
     SafetyWeights,
     Scenario,
     ScenarioError,
+    _Simulation,
     analyze,
     build_topology,
     charge_energy,
@@ -181,6 +182,58 @@ class TestSelectPeer:
             select_peer(mote, [0, 1])
 
 
+class TestQadStorage:
+    """QadTrust reads and writes the minor's storage directly; every write path must reach its reads."""
+
+    def test_public_set_reaches_metric(self):
+        mote = make_mote(Engine.QAD)
+        assert mote.trust.metric(1) == -3.0
+        mote.a_minor.set(0, 1, -1)
+        assert mote.trust.metric(1) == -1.0
+        mote.a_minor.set(0, 1, None)
+        assert mote.trust.metric(1) == -3.0
+
+    def test_observe_reaches_metric_and_public_get(self):
+        mote = make_mote(Engine.QAD)
+        analyze(mote, 2, SafetyObservation(0.0, 0.0, 400.0, 0.0), Scenario())
+        assert mote.trust.metric(2) == -2.0
+        assert mote.a_minor.get(0, 2) == -2
+
+    def test_uncovered_peer_has_no_metric_and_cannot_be_observed(self):
+        mote = make_mote(Engine.QAD)
+        assert mote.trust.metric(9) == -3.0
+        with pytest.raises(IndexError):
+            mote.trust.observe(9, 0.9, SafetyObservation(0.9, 250_000.0, 10.0, 0.99), Scenario())
+
+    def test_merge_row_writes_the_peers_row(self):
+        sim = _Simulation(Scenario(motes=4, engine=Engine.QAD))
+        mote = sim.motes[0]  # ring of four: covers 0, 1 and 3
+        sim._merge_row(mote, 1, {0: -2, 1: 2, 2: 1, 3: -1})
+        assert mote.a_minor.row(1) == {0: -2, 1: 2, 3: -1}  # mote 2 is outside the minor
+        assert mote.trust.metric(1) == -3.0  # the mote's own row is untouched
+        sim._merge_row(mote, 0, {1: 1})  # a row merged under the mote's own address is its view
+        assert mote.trust.metric(1) == 1.0
+
+    def test_run_keeps_metric_and_pair_records_in_step(self):
+        sim = _Simulation(plentiful(engine=Engine.QAD, intervals=2))
+        for k in range(2):
+            sim.run_interval(k)
+        for mote in sim.motes.values():
+            for pair in mote.trust.pair_records():
+                assert pair.metric == mote.trust.metric(pair.dst) == float(mote.a_minor.get(mote.addr, pair.dst))
+
+    def test_checked_accessors_still_raise(self):
+        minor = make_mote(Engine.QAD).a_minor
+        with pytest.raises(IndexError):
+            minor.get(0, 9)
+        with pytest.raises(IndexError):
+            minor.set(9, 0, 1)
+        with pytest.raises(IndexError):
+            minor.row(9)
+        with pytest.raises(ValueError):
+            minor.set(0, 1, 5)
+
+
 class TestEngineContract:
     """Pair records and selection read the same per-peer metric, whatever the engine."""
 
@@ -258,6 +311,18 @@ class TestChargeEnergy:
         mote = make_mote(Engine.BETA)
         with pytest.raises(ValueError):
             charge_energy(mote, "teleport", EnergyCosts())
+
+    def test_unknown_action_rejected_for_the_dead_and_the_unconstrained(self):
+        dead = make_mote(Engine.BETA, energy=0.0)
+        assert not dead.alive
+        with pytest.raises(ValueError):
+            charge_energy(dead, "teleport", EnergyCosts())
+        sink = MoteState(
+            addr=0, energy=5.0, capacity=5.0, harvest_rate=0.0,
+            engine=Engine.BETA, a_minor=AddressedMatrix([0]), unconstrained=True,
+        )
+        with pytest.raises(ValueError):
+            charge_energy(sink, "teleport", EnergyCosts())
 
     def test_harvest_caps_at_capacity(self):
         mote = make_mote(Engine.BETA, energy=99.0)
@@ -389,6 +454,10 @@ class TestScenarioValidation:
     def test_kill_event_names_known_mote(self):
         with pytest.raises(ScenarioError):
             Scenario(motes=4, mote_kills={2: (9,)}).validate()
+
+    def test_returns_the_topology_it_checked(self):
+        s = Scenario(motes=12, topology="geometric", radius=0.5, seed=3)
+        assert s.validate() == build_topology(s)
 
     def test_error_carries_line_prefix_when_present(self):
         assert str(ScenarioError("bad", line=7)) == "line 7: bad"
