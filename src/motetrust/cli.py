@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .rwp import trust_relation_count
 from .scenario import load_scenario
-from .simnet import Engine, ScenarioError, SimulationTrace, run
+from .simnet import Scenario, ScenarioError, SimulationTrace, run
 
 EXIT_OK = 0
 EXIT_SCENARIO = 1
@@ -77,15 +77,22 @@ def summary_text(trace: SimulationTrace) -> str:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _load(path: str) -> Scenario | int:
+    """The scenario at ``path``, or the exit code after saying why it cannot be loaded."""
     try:
-        scenario = load_scenario(args.scenario)
+        return load_scenario(path)
     except OSError as err:
         print(f"cannot read scenario: {err}", file=sys.stderr)
         return EXIT_IO
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_SCENARIO
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     if args.seed is not None:
         scenario.seed = args.seed
     try:
@@ -108,14 +115,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except OSError as err:
-        print(f"cannot read scenario: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioError as err:
-        print(f"scenario error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
+    scenario = _load(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     print(
         f"scenario OK: {scenario.motes} motes, {scenario.intervals} intervals, "
         f"{scenario.topology} topology, {scenario.engine.value} engine"

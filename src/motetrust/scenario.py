@@ -3,7 +3,9 @@
 A scenario is line-oriented text. ``[section]`` headers group ``key = value``
 pairs; blank lines and ``#`` comments are skipped. The [network] section must
 be present; every key has a default. Unknown sections or keys are rejected
-with the offending line number rather than silently ignored.
+with the offending line number rather than silently ignored. ``_KEYS`` maps
+each key below to the setting it sets and the caster that reads it. A value
+is cast on its own line, so the first bad line is the one reported.
 
     [network]
     motes = 20            # society size (addresses 0..motes-1)
@@ -37,6 +39,9 @@ with the offending line number rather than silently ignored.
 
     [links]
     link_quality = 0.9    # defaults for every link
+    tx_rate_bps = 250000
+    response_time_ms = 20
+    uptime = 0.99
     noise_scale = 0.02
     3-4.link_quality = 0.4          # per-link override
 
@@ -49,11 +54,13 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .qad import OperatorChoice
 from .simnet import (
-    LINK_FIELDS,
+    _FIELD_RULES,
     EnergyCosts,
     Engine,
     LinkEvent,
@@ -75,30 +82,15 @@ _LINK_KEYS = {
     "noise_scale": "noise_scale",
 }
 
-_SECTION_KEYS = {
-    "network": ("motes", "intervals", "topology", "radius", "seed"),
-    "rwp": ("theta_base_s", "theta_min_s", "theta_max_s", "failover", "architecture"),
-    "trust": (
-        "engine",
-        "misbehavior_threshold",
-        "weights",
-        "qad_operator",
-        "ref_tx_rate_bps",
-        "ref_response_time_ms",
-    ),
-    "energy": ("capacity_j", "init_j", "harvest_j_per_s", "tx_cost_j", "rx_cost_j", "compute_cost_j"),
-    "links": tuple(_LINK_KEYS),
-}
 
-
-def _as_int(value: str, key: str, line: int) -> int:
+def _as_int(key: str, value: str, line: int) -> int:
     try:
         return int(value)
     except ValueError:
         raise ScenarioError(f"{key} must be an integer, got {value!r}", line) from None
 
 
-def _as_float(value: str, key: str, line: int) -> float:
+def _as_float(key: str, value: str, line: int) -> float:
     try:
         number = float(value)
     except ValueError:
@@ -108,14 +100,18 @@ def _as_float(value: str, key: str, line: int) -> float:
     return number
 
 
-def _as_bool(value: str, key: str, line: int) -> bool:
+def _as_bool(key: str, value: str, line: int) -> bool:
     lowered = value.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
     raise ScenarioError(f"{key} must be true or false, got {value!r}", line)
 
 
-def _as_enum(enum_cls, value: str, key: str, line: int):
+def _as_name(key: str, value: str, line: int) -> str:
+    return value.lower()
+
+
+def _as_enum(enum_cls, key: str, value: str, line: int):
     try:
         return enum_cls(value.lower())
     except ValueError:
@@ -131,11 +127,61 @@ def _at_line(line: int, check, *args):
         raise ScenarioError(err.args[0], line) from None
 
 
-def _link_value(attr: str, value: str, key: str, line: int) -> float:
-    """A link field's number, range-checked alone so that an error names its line."""
-    number = _as_float(value, key, line)
-    _at_line(line, LinkTruth(**{attr: number}).validate)
+def _as_weights(key: str, value: str, line: int) -> SafetyWeights:
+    parts = [p.strip() for p in value.split(",")]
+    if len(parts) != 4:
+        raise ScenarioError(f"weights needs 4 comma-separated numbers, got {len(parts)}", line)
+    return _at_line(line, SafetyWeights, *(_as_float(key, p, line) for p in parts))
+
+
+def _as_cost(key: str, value: str, line: int) -> float:
+    number = _as_float(key, value, line)
+    _at_line(line, EnergyCosts, number)  # every cost has the same range
     return number
+
+
+def _link_field(key: str, value: str, line: int) -> float:
+    """The number of link field ``key``, range-checked alone so that an error names its line."""
+    number = _as_float(key, value, line)
+    _at_line(line, LinkTruth(**{_LINK_KEYS[key]: number}).validate)
+    return number
+
+
+#: section -> file key -> (target, caster). The target is a Scenario field, or
+#: ``costs.<attr>`` / ``default_link.<attr>`` for one attribute of that field.
+_KEYS = {
+    "network": {
+        "motes": ("motes", _as_int),
+        "intervals": ("intervals", _as_int),
+        "topology": ("topology", _as_name),
+        "radius": ("radius", _as_float),
+        "seed": ("seed", _as_int),
+    },
+    "rwp": {
+        "theta_base_s": ("theta_base", _as_float),
+        "theta_min_s": ("theta_min", _as_float),
+        "theta_max_s": ("theta_max", _as_float),
+        "failover": ("failover", _as_bool),
+        "architecture": ("architecture", _as_name),
+    },
+    "trust": {
+        "engine": ("engine", partial(_as_enum, Engine)),
+        "misbehavior_threshold": ("misbehavior_threshold", _as_float),
+        "weights": ("weights", _as_weights),
+        "qad_operator": ("qad_operator", partial(_as_enum, OperatorChoice)),
+        "ref_tx_rate_bps": ("ref_tx_rate", _as_float),
+        "ref_response_time_ms": ("ref_response_time", _as_float),
+    },
+    "energy": {
+        "capacity_j": ("capacity", _as_float),
+        "init_j": ("init_energy", _as_float),
+        "harvest_j_per_s": ("harvest_rate", _as_float),
+        "tx_cost_j": ("costs.tx", _as_cost),
+        "rx_cost_j": ("costs.rx", _as_cost),
+        "compute_cost_j": ("costs.compute", _as_cost),
+    },
+    "links": {key: (f"default_link.{attr}", _link_field) for key, attr in _LINK_KEYS.items()},
+}
 
 
 def _parse_endpoints(text: str, line: int) -> tuple[int, int]:
@@ -147,10 +193,11 @@ def _parse_endpoints(text: str, line: int) -> tuple[int, int]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate scenario text; raises ScenarioError with line numbers."""
-    plain: dict[str, tuple[str, int]] = {}  # "section.key" -> (value, line)
     overrides: dict[tuple[int, int], dict[str, float]] = {}
-    override_lines: dict[tuple[int, int], int] = {}  # edge -> line of its first override
     link_events: list[LinkEvent] = []
+    scenario = Scenario(link_overrides=overrides, link_events=link_events)  # filled in line by line
+    target_lines: dict[str, int] = {}  # target -> line of its key
+    override_lines: dict[tuple[int, int], int] = {}  # edge -> line of its first override
     mote_kills: dict[int, list[int]] = {}
     event_lines: list[tuple[int, LinkEvent | tuple[int, int]]] = []  # (line, link event or (at, mote) kill)
     seen_sections: set[str] = set()
@@ -165,7 +212,7 @@ def parse_scenario(text: str) -> Scenario:
             if not m:
                 raise ScenarioError(f"malformed section header {line!r}", lineno)
             section = m.group(1)
-            if section not in (*_SECTION_KEYS, "events"):
+            if section not in (*_KEYS, "events"):
                 raise ScenarioError(f"unknown section [{section}]", lineno)
             if section in seen_sections:
                 raise ScenarioError(f"duplicate section [{section}]", lineno)
@@ -190,88 +237,28 @@ def parse_scenario(text: str) -> Scenario:
             attr = _LINK_KEYS[field_key]
             if attr in per_link:
                 raise ScenarioError(f"duplicate override {key!r}", lineno)
-            per_link[attr] = _link_value(attr, value, key, lineno)
+            per_link[attr] = _link_field(field_key, value, lineno)
             continue
-        if key not in _SECTION_KEYS[section]:
+        if key not in _KEYS[section]:
             raise ScenarioError(f"unknown key {key!r} in [{section}]", lineno)
-        full = f"{section}.{key}"
-        if full in plain:
+        target, cast = _KEYS[section][key]
+        if target in target_lines:
             raise ScenarioError(f"duplicate key {key!r} in [{section}]", lineno)
-        plain[full] = (value, lineno)
+        target_lines[target] = lineno
+        part, _, attr = target.rpartition(".")
+        if part:
+            setattr(scenario, part, replace(getattr(scenario, part), **{attr: cast(key, value, lineno)}))
+        else:
+            setattr(scenario, attr, cast(key, value, lineno))
 
     if "network" not in seen_sections:
         raise ScenarioError("missing [network] section")
 
-    def take(full: str, caster):
-        if full not in plain:
-            return None
-        value, lineno = plain.pop(full)
-        return _at_line(lineno, caster, value, full.split(".", 1)[1], lineno)
-
-    kwargs: dict = {}
-    field_lines: dict[str, int] = {}  # Scenario field -> line of its key
-
-    def put(name: str, full: str, caster) -> None:
-        if full in plain:
-            field_lines[name] = plain[full][1]
-            kwargs[name] = take(full, caster)
-
-    put("motes", "network.motes", _as_int)
-    put("intervals", "network.intervals", _as_int)
-    put("topology", "network.topology", lambda v, _k, _l: v.lower())
-    put("radius", "network.radius", _as_float)
-    put("seed", "network.seed", _as_int)
-    put("theta_base", "rwp.theta_base_s", _as_float)
-    put("theta_min", "rwp.theta_min_s", _as_float)
-    put("theta_max", "rwp.theta_max_s", _as_float)
-    put("failover", "rwp.failover", _as_bool)
-    put("architecture", "rwp.architecture", lambda v, _k, _l: v.lower())
-    put("engine", "trust.engine", lambda v, k, l: _as_enum(Engine, v, k, l))
-    put("misbehavior_threshold", "trust.misbehavior_threshold", _as_float)
-    put("qad_operator", "trust.qad_operator", lambda v, k, l: _as_enum(OperatorChoice, v, k, l))
-    put("ref_tx_rate", "trust.ref_tx_rate_bps", _as_float)
-    put("ref_response_time", "trust.ref_response_time_ms", _as_float)
-
-    if "trust.weights" in plain:
-        value, lineno = plain.pop("trust.weights")
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 4:
-            raise ScenarioError(f"weights needs 4 comma-separated numbers, got {len(parts)}", lineno)
-        kwargs["weights"] = _at_line(lineno, SafetyWeights, *(_as_float(p, "weights", lineno) for p in parts))
-
-    # each cost and link field is range-checked on its own, so its error names its own line
-    cost_kwargs: dict[str, float] = {}
-    for file_key, attr in (("tx_cost_j", "tx"), ("rx_cost_j", "rx"), ("compute_cost_j", "compute")):
-        got = take(f"energy.{file_key}", lambda v, k, l: EnergyCosts(**{attr: _as_float(v, k, l)}).of(attr))
-        if got is not None:
-            cost_kwargs[attr] = got
-    if cost_kwargs:
-        kwargs["costs"] = EnergyCosts(**cost_kwargs)
-    put("capacity", "energy.capacity_j", _as_float)
-    put("init_energy", "energy.init_j", _as_float)
-    put("harvest_rate", "energy.harvest_j_per_s", _as_float)
-
-    link_kwargs: dict[str, float] = {}
-    for file_key, attr in _LINK_KEYS.items():
-        got = take(f"links.{file_key}", lambda v, k, l: _link_value(attr, v, k, l))
-        if got is not None:
-            link_kwargs[attr] = got
-    if link_kwargs:
-        kwargs["default_link"] = LinkTruth(**link_kwargs)
-
-    if plain:  # a key listed in _SECTION_KEYS that no code above reads
-        first_line = min(lineno for _, lineno in plain.values())
-        raise ScenarioError(f"keys accepted but never read: {', '.join(sorted(plain))}", first_line)
-
-    scenario = Scenario(
-        **kwargs,
-        link_overrides=overrides,
-        link_events=link_events,
-        mote_kills={at: tuple(sorted(addrs)) for at, addrs in mote_kills.items()},
-    )
+    scenario.mote_kills = {at: tuple(sorted(addrs)) for at, addrs in mote_kills.items()}
     # Scenario.validate's checks in its order, each raised at the line it checks
-    for name, lineno in field_lines.items():
-        _at_line(lineno, scenario.check_field, name)
+    for name in _FIELD_RULES:
+        if name in target_lines:
+            _at_line(target_lines[name], scenario.check_field, name)
     scenario.check_settings()  # cross-field checks have no one line
     adjacency = build_topology(scenario)
     for (a, b), lineno in sorted(override_lines.items()):
@@ -302,20 +289,20 @@ def _parse_event(
         tokens[key] = value
     if "at" not in tokens:
         raise ScenarioError("event needs at=<interval>", lineno)
-    at = _as_int(tokens.pop("at"), "at", lineno)
+    at = _as_int("at", tokens.pop("at"), lineno)
     if "link" in tokens:
         a, b = _parse_endpoints(tokens.pop("link"), lineno)
         changes: dict[str, float] = {}
         for key, value in tokens.items():
             if key not in _LINK_KEYS:
                 raise ScenarioError(f"unknown link field {key!r} in event", lineno)
-            changes[_LINK_KEYS[key]] = _link_value(_LINK_KEYS[key], value, key, lineno)
+            changes[_LINK_KEYS[key]] = _link_field(key, value, lineno)
         if not changes:
             raise ScenarioError("link event changes nothing", lineno)
         link_events.append(LinkEvent(at, a, b, changes))
         return link_events[-1]
     elif "mote" in tokens:
-        addr = _as_int(tokens.pop("mote"), "mote", lineno)
+        addr = _as_int("mote", tokens.pop("mote"), lineno)
         if tokens.pop("action", None) != "kill":
             raise ScenarioError("mote events support only action=kill", lineno)
         if tokens:
@@ -326,5 +313,12 @@ def _parse_event(
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario file; I/O errors propagate as OSError."""
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a scenario file; I/O errors propagate as OSError, text that is not UTF-8 as ScenarioError."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the text before the bad byte decodes; a stand-in for the byte numbers its line as parse_scenario does
+        line = len((data[: err.start].decode("utf-8") + "?").splitlines())
+        raise ScenarioError(f"byte {data[err.start]:#04x} is not UTF-8 text", line) from None
+    return parse_scenario(text)

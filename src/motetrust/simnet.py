@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Protocol
 
@@ -79,15 +79,6 @@ class EnergyCosts:
         if not all(math.isfinite(c) and c >= 0.0 for c in (self.tx, self.rx, self.compute)):
             raise ScenarioError("energy costs must be finite and non-negative")
 
-    def of(self, action: str) -> float:
-        if action == "tx":
-            return self.tx
-        if action == "rx":
-            return self.rx
-        if action == "compute":
-            return self.compute
-        raise ValueError(f"unknown action {action!r}")
-
 
 @dataclass(frozen=True)
 class SafetyWeights:
@@ -118,14 +109,13 @@ class SafetyObservation:
 
 @dataclass
 class LinkTruth:
-    """Ground truth behind one link, plus its scheduled mid-run changes."""
+    """Ground truth behind one link."""
 
     link_quality: float = 0.9
     tx_rate: float = 250_000.0
     response_time: float = 20.0
     uptime: float = 0.99
     noise_scale: float = 0.02
-    schedule: dict[int, dict[str, float]] = field(default_factory=dict)
 
     def validate(self) -> None:
         if not 0.0 <= self.link_quality <= 1.0:
@@ -249,19 +239,12 @@ class Scenario:
         for name in changes:
             if name not in LINK_FIELDS:
                 raise ScenarioError(f"unknown link field {name!r}")
-        _merge_truth(self.default_link, changes).validate()
+        replace(self.default_link, **changes).validate()
 
     def check_kill(self, at: int, addr: int) -> None:
         self.check_event_interval(at)
         if not 0 <= addr < self.motes:
             raise ScenarioError(f"kill event names unknown mote {addr}")
-
-
-def _merge_truth(base: LinkTruth, changes: dict[str, float]) -> LinkTruth:
-    merged = LinkTruth(base.link_quality, base.tx_rate, base.response_time, base.uptime, base.noise_scale)
-    for name, value in changes.items():
-        setattr(merged, name, value)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +316,7 @@ class MoteState:
 
 def charge_energy(mote: MoteState, action: str, costs: EnergyCosts) -> MoteState:
     """Bill one action. Hitting zero kills the mote; dead motes are never billed."""
-    # EnergyCosts.of inlined: the simulator bills every hop through here
+    # an inline if chain: the simulator bills every hop through here
     if action == "tx":
         cost = costs.tx
     elif action == "rx":
@@ -491,17 +474,16 @@ def analyze(mote: MoteState, peer: int, obs: SafetyObservation, scenario: Scenar
 
 def select_peer(mote: MoteState, candidates: Iterable[int]) -> int:
     """The most trusted candidate under the mote's engine; ties go to the lowest address."""
-    ordered = sorted(candidates)
-    if not ordered:
-        raise ValueError("peer selection needs at least one candidate")
-    if mote.addr in ordered:
-        raise ValueError("a mote cannot select itself")
-    metric = mote.trust.metric
-    best, best_metric = ordered[0], metric(ordered[0])
-    for peer in ordered[1:]:
+    addr, metric = mote.addr, mote.trust.metric
+    best = best_metric = None
+    for peer in candidates:
+        if peer == addr:
+            raise ValueError("a mote cannot select itself")
         value = metric(peer)
-        if value > best_metric:
+        if best is None or value > best_metric or (value == best_metric and peer < best):
             best, best_metric = peer, value
+    if best is None:
+        raise ValueError("peer selection needs at least one candidate")
     return best
 
 
@@ -580,15 +562,16 @@ class _Simulation:
         self.noise_rng = random.Random(f"{scenario.seed}:noise")
         self.hop_rng = random.Random(f"{scenario.seed}:hop")
         self.society = list(range(scenario.motes))
-        self.truths: dict[tuple[int, int], LinkTruth] = {}
+        self.truths: dict[tuple[int, int], LinkTruth] = {}  # never written in place, so links may share one
+        default = scenario.default_link
         for a in self.society:
             for b in self.adjacency[a]:
                 if b > a:
-                    truth = _merge_truth(scenario.default_link, scenario.link_overrides.get((a, b), {}))
-                    self.truths[(a, b)] = truth
+                    changes = scenario.link_overrides.get((a, b))
+                    self.truths[(a, b)] = replace(default, **changes) if changes else default
+        self.link_events: dict[int, list[LinkEvent]] = {}  # interval -> its events, in scenario order
         for ev in scenario.link_events:
-            edge = (min(ev.a, ev.b), max(ev.a, ev.b))
-            self.truths[edge].schedule.setdefault(ev.at, {}).update(ev.changes)
+            self.link_events.setdefault(ev.at, []).append(ev)
         self.motes: dict[int, MoteState] = {}
         for a in self.society:
             neighborhood = sorted({a, *self.adjacency[a]})
@@ -717,13 +700,11 @@ class _Simulation:
                 peer_row[k] = value
 
     def _apply_link_events(self, k: int) -> None:
-        for edge in sorted(self.truths):
-            truth = self.truths[edge]
-            changes = truth.schedule.get(k)
-            if changes:
-                for name, value in changes.items():
-                    setattr(truth, name, value)
-                truth.validate()
+        for ev in self.link_events.get(k, ()):  # a later event on the same link overwrites what both set
+            edge = (min(ev.a, ev.b), max(ev.a, ev.b))
+            truth = replace(self.truths[edge], **ev.changes)
+            truth.validate()
+            self.truths[edge] = truth
 
     def _apply_kills(self, k: int) -> None:
         for addr in self.sc.mote_kills.get(k, ()):

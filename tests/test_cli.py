@@ -114,6 +114,19 @@ class TestValidateCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_undecodable_scenario_is_scenario_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"[network]\nmotes = 4 \xff\n")
+    out = tmp_path / "out"
+    argv = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
+    assert run_cli(argv) == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: line 2:") and "0xff" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestComplexityCommand:
     @pytest.mark.parametrize("n,expected", [("1", "1"), ("3", "49"), ("10", "1046529")])
     def test_known_values(self, n, expected, capsys):

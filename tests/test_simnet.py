@@ -157,9 +157,14 @@ class TestSelectPeer:
         mote.a_minor.set(0, 2, -2)
         assert select_peer(mote, [1, 2]) == 2
 
-    def test_tie_goes_to_lowest_address(self):
-        mote = make_mote(Engine.BETA)
-        assert select_peer(mote, [2, 1]) == 1
+    @pytest.mark.parametrize(
+        "candidates",
+        [[2, 1], [3, 2, 1], [2, 1, 2, 1], (peer for peer in (3, 1, 2))],
+        ids=["pair", "three-descending", "duplicates", "generator"],
+    )
+    def test_tie_goes_to_lowest_address(self, candidates):
+        mote = make_mote(Engine.BETA, peers=(1, 2, 3))
+        assert select_peer(mote, candidates) == 1
 
     @pytest.mark.parametrize("engine", [Engine.BETA, Engine.BAYES])
     def test_new_evidence_changes_the_next_selection(self, engine):
@@ -434,6 +439,23 @@ class TestRun:
         assert metric(trace.records[5], 0, 1) == -2.0
         assert metric(trace.records[5], 1, 0) == -2.0  # the link, not the mote, degraded
         assert metric(trace.records[5], 2, 1) == 2.0
+
+    def test_link_events_in_one_interval_apply_in_order(self):
+        # the later event wins each field it sets; a field only the earlier one sets keeps its value
+        def trace_with(*changes):
+            events = [LinkEvent(at=3, a=a, b=b, changes=c) for (a, b), c in changes]
+            weights = SafetyWeights(0.5, 0.0, 0.0, 0.5)  # link quality and uptime
+            scenario = plentiful(
+                intervals=5, engine=Engine.QAD, weights=weights, default_link=LinkTruth(noise_scale=0.0), link_events=events
+            )
+            return run(scenario)
+
+        earlier = ((0, 1), {"link_quality": 0.1, "uptime": 0.1})
+        later = ((1, 0), {"link_quality": 0.9})
+        both = trace_with(earlier, later)
+        assert both == trace_with(((0, 1), {"link_quality": 0.9, "uptime": 0.1}))
+        assert both != trace_with(later)
+        assert both != trace_with(earlier)
 
 
 class TestScenarioValidation:
