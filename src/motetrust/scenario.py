@@ -5,7 +5,10 @@ pairs; blank lines and ``#`` comments are skipped. The [network] section must
 be present; every key has a default. Unknown sections or keys are rejected
 with the offending line number rather than silently ignored. ``_KEYS`` maps
 each key below to the setting it sets and the caster that reads it. A value
-is cast on its own line, so the first bad line is the one reported.
+is cast on its own line, so the first bad line is the one reported. The
+checks that need the whole file run in ``Scenario.validate``, the one place
+a scenario is checked; the parser passes it the line of each key, override
+edge, link event and kill, so those errors name their line too.
 
     [network]
     motes = 20            # society size (addresses 0..motes-1)
@@ -52,6 +55,7 @@ is cast on its own line, so the first bad line is the one reported.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from dataclasses import replace
@@ -59,17 +63,7 @@ from functools import partial
 from pathlib import Path
 
 from .qad import OperatorChoice
-from .simnet import (
-    _FIELD_RULES,
-    EnergyCosts,
-    Engine,
-    LinkEvent,
-    LinkTruth,
-    Scenario,
-    ScenarioError,
-    SafetyWeights,
-    build_topology,
-)
+from .simnet import EnergyCosts, Engine, LinkEvent, LinkTruth, Scenario, ScenarioError, SafetyWeights
 
 _SECTION_RE = re.compile(r"\[([a-z]+)\]")
 
@@ -119,10 +113,10 @@ def _as_enum(enum_cls, key: str, value: str, line: int):
         raise ScenarioError(f"{key} must be one of: {choices}; got {value!r}", line) from None
 
 
-def _at_line(line: int, check, *args):
-    """``check(*args)``, with any ScenarioError it raises pointed at ``line``."""
+def _at_line(line: int, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with any ScenarioError it raises pointed at ``line``."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ScenarioError as err:
         raise ScenarioError(err.args[0], line) from None
 
@@ -143,7 +137,7 @@ def _as_cost(key: str, value: str, line: int) -> float:
 def _link_field(key: str, value: str, line: int) -> float:
     """The number of link field ``key``, range-checked alone so that an error names its line."""
     number = _as_float(key, value, line)
-    _at_line(line, LinkTruth(**{_LINK_KEYS[key]: number}).validate)
+    _at_line(line, LinkTruth, **{_LINK_KEYS[key]: number})
     return number
 
 
@@ -196,10 +190,8 @@ def parse_scenario(text: str) -> Scenario:
     overrides: dict[tuple[int, int], dict[str, float]] = {}
     link_events: list[LinkEvent] = []
     scenario = Scenario(link_overrides=overrides, link_events=link_events)  # filled in line by line
-    target_lines: dict[str, int] = {}  # target -> line of its key
-    override_lines: dict[tuple[int, int], int] = {}  # edge -> line of its first override
+    lines: dict[object, int] = {}  # what each line set, keyed as Scenario.validate looks it up
     mote_kills: dict[int, list[int]] = {}
-    event_lines: list[tuple[int, LinkEvent | tuple[int, int]]] = []  # (line, link event or (at, mote) kill)
     seen_sections: set[str] = set()
     section: str | None = None
 
@@ -221,7 +213,7 @@ def parse_scenario(text: str) -> Scenario:
         if section is None:
             raise ScenarioError("key outside any section", lineno)
         if section == "events":
-            event_lines.append((lineno, _parse_event(line, lineno, link_events, mote_kills)))
+            lines.setdefault(_parse_event(line, lineno, link_events, mote_kills), lineno)
             continue
         if "=" not in line:
             raise ScenarioError(f"expected key = value, got {line!r}", lineno)
@@ -233,7 +225,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"unknown link field {field_key!r}", lineno)
             edge = (min(a, b), max(a, b))
             per_link = overrides.setdefault(edge, {})
-            override_lines.setdefault(edge, lineno)
+            lines.setdefault(edge, lineno)
             attr = _LINK_KEYS[field_key]
             if attr in per_link:
                 raise ScenarioError(f"duplicate override {key!r}", lineno)
@@ -242,9 +234,9 @@ def parse_scenario(text: str) -> Scenario:
         if key not in _KEYS[section]:
             raise ScenarioError(f"unknown key {key!r} in [{section}]", lineno)
         target, cast = _KEYS[section][key]
-        if target in target_lines:
+        if target in lines:
             raise ScenarioError(f"duplicate key {key!r} in [{section}]", lineno)
-        target_lines[target] = lineno
+        lines[target] = lineno
         part, _, attr = target.rpartition(".")
         if part:
             setattr(scenario, part, replace(getattr(scenario, part), **{attr: cast(key, value, lineno)}))
@@ -255,20 +247,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing [network] section")
 
     scenario.mote_kills = {at: tuple(sorted(addrs)) for at, addrs in mote_kills.items()}
-    # Scenario.validate's checks in its order, each raised at the line it checks
-    for name in _FIELD_RULES:
-        if name in target_lines:
-            _at_line(target_lines[name], scenario.check_field, name)
-    scenario.check_settings()  # cross-field checks have no one line
-    adjacency = build_topology(scenario)
-    for (a, b), lineno in sorted(override_lines.items()):
-        _at_line(lineno, scenario.check_link, a, b, overrides[(a, b)], adjacency)
-    for lineno, ev in event_lines:
-        if isinstance(ev, LinkEvent):
-            _at_line(lineno, scenario.check_event_interval, ev.at)
-            _at_line(lineno, scenario.check_link, ev.a, ev.b, ev.changes, adjacency)
-        else:
-            _at_line(lineno, scenario.check_kill, *ev)
+    scenario.validate(lines)
     return scenario
 
 
@@ -277,8 +256,8 @@ def _parse_event(
     lineno: int,
     link_events: list[LinkEvent],
     mote_kills: dict[int, list[int]],
-) -> LinkEvent | tuple[int, int]:
-    """Add one event line to the link events or the kills; returns the link event or the kill's (at, mote)."""
+) -> tuple:
+    """Add one event line to the link events or the kills; returns its key in Scenario.validate's line map."""
     tokens: dict[str, str] = {}
     for tok in line.split():
         if "=" not in tok:
@@ -300,7 +279,7 @@ def _parse_event(
         if not changes:
             raise ScenarioError("link event changes nothing", lineno)
         link_events.append(LinkEvent(at, a, b, changes))
-        return link_events[-1]
+        return "event", len(link_events) - 1
     elif "mote" in tokens:
         addr = _as_int("mote", tokens.pop("mote"), lineno)
         if tokens.pop("action", None) != "kill":
@@ -308,13 +287,14 @@ def _parse_event(
         if tokens:
             raise ScenarioError(f"unexpected event tokens {sorted(tokens)}", lineno)
         mote_kills.setdefault(at, []).append(addr)
-        return at, addr
+        return "kill", at, addr
     raise ScenarioError("event needs link=A-B or mote=N", lineno)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read and parse a scenario file; I/O errors propagate as OSError, text that is not UTF-8 as ScenarioError."""
-    data = Path(path).read_bytes()
+    # drop a byte-order mark as "utf-8-sig" would, but keep err.start an index into data
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -30,7 +30,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from . import rwp as rwp_proto
 from .beliefs import EvidenceCounts, bayes_posterior2
@@ -107,7 +107,7 @@ class SafetyObservation:
     uptime: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkTruth:
     """Ground truth behind one link."""
 
@@ -117,7 +117,7 @@ class LinkTruth:
     uptime: float = 0.99
     noise_scale: float = 0.02
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.link_quality <= 1.0:
             raise ScenarioError(f"link_quality {self.link_quality} outside [0, 1]")
         if not 0.0 <= self.uptime <= 1.0:
@@ -187,64 +187,61 @@ class Scenario:
     link_events: list[LinkEvent] = field(default_factory=list)
     mote_kills: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def validate(self) -> dict[int, tuple[int, ...]]:
+    def validate(self, lines: Mapping[object, int] | None = None) -> dict[int, tuple[int, ...]]:
         """Raise ScenarioError on the first bad setting, else return the topology checked against.
 
-        The parser runs the same checks at their lines.
+        ``lines`` maps what a check looks at to the line that set it: a field's name, an
+        override's edge ``(a, b)``, ``("event", i)`` for ``link_events[i]`` or ``("kill", at,
+        mote)``. An error names the line of its subject if ``lines`` has one; checks that weigh
+        several fields against each other name none.
         """
-        self.check_settings()
-        adjacency = build_topology(self)
-        for (a, b), changes in sorted(self.link_overrides.items()):
-            self.check_link(a, b, changes, adjacency)
-        for ev in self.link_events:
-            self.check_event_interval(ev.at)
-            self.check_link(ev.a, ev.b, ev.changes, adjacency)
-        for at, addrs in sorted(self.mote_kills.items()):
-            for addr in addrs:
-                self.check_kill(at, addr)
-        return adjacency
-
-    def check_settings(self) -> None:
-        """Every check but those on link overrides and events."""
-        for name in _FIELD_RULES:
-            self.check_field(name)
+        line_of = (lines or {}).get
+        for name, (label, holds, must) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not holds(value):
+                raise ScenarioError(f"{label} must be {must}, got {value!r}", line_of(name))
         if self.topology == "geometric" and self.radius <= 0.0:
             raise ScenarioError("geometric topology needs radius > 0")
         if not 0.0 < self.theta_min <= self.theta_base <= self.theta_max:
             raise ScenarioError("need 0 < theta_min_s <= theta_base_s <= theta_max_s")
         if not 0.0 <= self.init_energy <= self.capacity:
             raise ScenarioError(f"init_j must be in [0, capacity_j], got {self.init_energy}")
-        self.default_link.validate()
+        adjacency = build_topology(self)
+        for (a, b), changes in sorted(self.link_overrides.items()):
+            self._check_link(a, b, changes, adjacency, line_of((a, b)))
+        for i, ev in enumerate(self.link_events):
+            line = line_of(("event", i))
+            self._check_interval(ev.at, line)
+            self._check_link(ev.a, ev.b, ev.changes, adjacency, line)
+        for at, addrs in sorted(self.mote_kills.items()):
+            for addr in addrs:
+                line = line_of(("kill", at, addr))
+                self._check_interval(at, line)
+                if not 0 <= addr < self.motes:
+                    raise ScenarioError(f"kill event names unknown mote {addr}", line)
+        return adjacency
 
-    def check_field(self, name: str) -> None:
-        """The checks on field ``name`` that need no other field, if it has any."""
-        if name in _FIELD_RULES:
-            label, holds, must = _FIELD_RULES[name]
-            value = getattr(self, name)
-            if not holds(value):
-                raise ScenarioError(f"{label} must be {must}, got {value!r}")
-
-    def check_event_interval(self, at: int) -> None:
+    def _check_interval(self, at: int, line: int | None) -> None:
         if not 0 <= at < self.intervals:  # an event past the last interval would never fire
-            raise ScenarioError(f"event interval must be in [0, {self.intervals - 1}], got {at}")
+            raise ScenarioError(f"event interval must be in [0, {self.intervals - 1}], got {at}", line)
 
-    def check_link(self, a: int, b: int, changes: dict[str, float], adjacency: dict[int, tuple[int, ...]]) -> None:
+    def _check_link(
+        self, a: int, b: int, changes: dict[str, float], adjacency: dict[int, tuple[int, ...]], line: int | None
+    ) -> None:
         """An override's or a link event's edge, and the fields it sets."""
         if not (0 <= a < self.motes and 0 <= b < self.motes) or a == b:
-            raise ScenarioError(f"link {a}-{b} names invalid endpoints")
+            raise ScenarioError(f"link {a}-{b} names invalid endpoints", line)
         if b not in adjacency[a]:
-            raise ScenarioError(f"link {a}-{b} does not exist in the {self.topology} topology")
+            raise ScenarioError(f"link {a}-{b} does not exist in the {self.topology} topology", line)
         if not changes:
-            raise ScenarioError("a link entry must set at least one field")
+            raise ScenarioError("a link entry must set at least one field", line)
         for name in changes:
             if name not in LINK_FIELDS:
-                raise ScenarioError(f"unknown link field {name!r}")
-        replace(self.default_link, **changes).validate()
-
-    def check_kill(self, at: int, addr: int) -> None:
-        self.check_event_interval(at)
-        if not 0 <= addr < self.motes:
-            raise ScenarioError(f"kill event names unknown mote {addr}")
+                raise ScenarioError(f"unknown link field {name!r}", line)
+        try:
+            replace(self.default_link, **changes)  # LinkTruth checks its fields
+        except ScenarioError as err:
+            raise ScenarioError(err.args[0], line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -607,27 +604,21 @@ class _Simulation:
         if not motes[origin].alive:
             return set()
         processed = {origin}
-        frontier = [origin]
-        hops = 0
-        while frontier and hops < self.sc.motes:
-            next_frontier: list[int] = []
-            for a in sorted(frontier):
-                mote = motes[a]
-                if not mote.alive:  # died earlier in this flood, never transmitted
+        # breadth first: a mote pays one rx when first reached and one tx when its turn comes, and
+        # nothing bills it in between, so it is alive then and the order within a level changes no charge
+        senders = [origin]
+        for a in senders:  # grows as the broadcast reaches new motes
+            charge_energy(motes[a], "tx", costs)  # the broadcast leaves even if it drains the sender
+            for b in adjacency[a]:
+                if b in processed:
+                    continue  # duplicates are discarded without processing
+                peer = motes[b]
+                if not peer.alive:
                     continue
-                charge_energy(mote, "tx", costs)  # the broadcast leaves even if it drains the sender
-                for b in adjacency[a]:
-                    if b in processed:
-                        continue  # duplicates are discarded without processing
-                    peer = motes[b]
-                    if not peer.alive:
-                        continue
-                    charge_energy(peer, "rx", costs)
-                    if peer.alive:
-                        processed.add(b)
-                        next_frontier.append(b)
-            frontier = next_frontier
-            hops += 1
+                charge_energy(peer, "rx", costs)
+                if peer.alive:
+                    processed.add(b)
+                    senders.append(b)
         return processed
 
     def _shortest_path(self, src: int, dst: int) -> list[int] | None:
@@ -702,9 +693,7 @@ class _Simulation:
     def _apply_link_events(self, k: int) -> None:
         for ev in self.link_events.get(k, ()):  # a later event on the same link overwrites what both set
             edge = (min(ev.a, ev.b), max(ev.a, ev.b))
-            truth = replace(self.truths[edge], **ev.changes)
-            truth.validate()
-            self.truths[edge] = truth
+            self.truths[edge] = replace(self.truths[edge], **ev.changes)
 
     def _apply_kills(self, k: int) -> None:
         for addr in self.sc.mote_kills.get(k, ()):

@@ -127,6 +127,20 @@ def test_undecodable_scenario_is_scenario_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scenario_with_a_byte_order_mark_validates(tmp_path, capsys):
+    path = tmp_path / "bom.scn"
+    path.write_bytes(b"\xef\xbb\xbf[network]\nmotes = 4\n")
+    assert run_cli(["validate", str(path)]) == EXIT_OK
+    assert "scenario OK: 4 motes" in capsys.readouterr().out
+
+
+def test_undecodable_byte_after_a_byte_order_mark_names_its_byte_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xef\xbb\xbf[network]\nmotes = 4 \xff\n")
+    assert run_cli(["validate", str(bad)]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == "scenario error: line 2: byte 0xff is not UTF-8 text\n"
+
+
 class TestComplexityCommand:
     @pytest.mark.parametrize("n,expected", [("1", "1"), ("3", "49"), ("10", "1046529")])
     def test_known_values(self, n, expected, capsys):

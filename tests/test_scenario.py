@@ -230,6 +230,12 @@ class TestErrors:
         msg = error_of("[network]\nmotes = 4\n[events]\nat=1 mote=1 action=kill\nat=1 mote=9 action=kill\n")
         assert msg.startswith("line 5:") and "kill event names unknown mote 9" in msg
 
+    def test_link_events_are_checked_before_kills(self):
+        # Scenario.validate's order, not the file's: the bad kill comes first in the file
+        text = "[network]\nmotes = 4\nintervals = 2\n[events]\nat=5 mote=1 action=kill\nat=1 link=0-2 uptime=0.5\n"
+        msg = error_of(text)
+        assert msg.startswith("line 6:") and "link 0-2 does not exist in the ring topology" in msg
+
     def test_cross_field_errors_carry_no_line(self):
         # the radius check outranks the override that it would otherwise leave without an edge
         msg = error_of("[network]\nmotes = 4\ntopology = geometric\nradius = 0\n[links]\n0-1.uptime = 0.5\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -465,17 +466,29 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario(motes=300).validate()
 
-    def test_init_energy_cannot_exceed_capacity(self):
-        with pytest.raises(ScenarioError):
-            Scenario(capacity=10.0, init_energy=11.0).validate()
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(capacity=10.0, init_energy=11.0),
+            Scenario(misbehavior_threshold=1.0),
+            Scenario(motes=4, mote_kills={2: (9,)}),
+            Scenario(motes=4, link_events=[LinkEvent(1, 0, 2, {"uptime": 0.5})]),
+        ],
+        ids=["init-energy-above-capacity", "threshold-outside-open-interval", "kill-of-unknown-mote",
+             "link-event-off-topology"],
+    )
+    def test_bad_setting_is_rejected_without_a_line(self, scenario):
+        with pytest.raises(ScenarioError) as info:
+            scenario.validate()
+        assert info.value.line is None
 
-    def test_threshold_open_interval(self):
-        with pytest.raises(ScenarioError):
-            Scenario(misbehavior_threshold=1.0).validate()
+    def test_link_truth_checks_itself_when_built(self):
+        with pytest.raises(ScenarioError, match="link_quality 1.5 outside"):
+            LinkTruth(link_quality=1.5)
 
-    def test_kill_event_names_known_mote(self):
-        with pytest.raises(ScenarioError):
-            Scenario(motes=4, mote_kills={2: (9,)}).validate()
+    def test_link_truth_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_TRUTH.uptime = 0.5
 
     def test_returns_the_topology_it_checked(self):
         s = Scenario(motes=12, topology="geometric", radius=0.5, seed=3)
