@@ -77,10 +77,10 @@ def summary_text(trace: SimulationTrace) -> str:
     )
 
 
-def _load(path: str) -> Scenario | int:
+def _load(path: str, seed: int | None = None) -> Scenario | int:
     """The scenario at ``path``, or the exit code after saying why it cannot be loaded."""
     try:
-        return load_scenario(path)
+        return load_scenario(path, seed)
     except OSError as err:
         print(f"cannot read scenario: {err}", file=sys.stderr)
         return EXIT_IO
@@ -90,16 +90,10 @@ def _load(path: str) -> Scenario | int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
+    scenario = _load(args.scenario, args.seed)
     if isinstance(scenario, int):
         return scenario
-    if args.seed is not None:
-        scenario.seed = args.seed
-    try:
-        trace = run(scenario)
-    except ScenarioError as err:  # --seed can reshape a geometric topology under the overrides
-        print(f"scenario error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
+    trace = run(scenario)
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

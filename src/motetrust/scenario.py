@@ -185,8 +185,11 @@ def _parse_endpoints(text: str, line: int) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate scenario text; raises ScenarioError with line numbers."""
+def parse_scenario(text: str, seed: int | None = None) -> Scenario:
+    """Parse and fully validate scenario text; raises ScenarioError with line numbers.
+
+    A ``seed`` replaces the file's before validation, since it can reshape a geometric topology.
+    """
     overrides: dict[tuple[int, int], dict[str, float]] = {}
     link_events: list[LinkEvent] = []
     scenario = Scenario(link_overrides=overrides, link_events=link_events)  # filled in line by line
@@ -247,6 +250,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing [network] section")
 
     scenario.mote_kills = {at: tuple(sorted(addrs)) for at, addrs in mote_kills.items()}
+    if seed is not None:
+        scenario.seed = seed
     scenario.validate(lines)
     return scenario
 
@@ -291,8 +296,11 @@ def _parse_event(
     raise ScenarioError("event needs link=A-B or mote=N", lineno)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario file; I/O errors propagate as OSError, text that is not UTF-8 as ScenarioError."""
+def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
+    """Read and parse a scenario file, with ``seed`` as in `parse_scenario`.
+
+    I/O errors propagate as OSError, text that is not UTF-8 as ScenarioError.
+    """
     # drop a byte-order mark as "utf-8-sig" would, but keep err.start an index into data
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
@@ -301,4 +309,4 @@ def load_scenario(path: str | Path) -> Scenario:
         # the text before the bad byte decodes; a stand-in for the byte numbers its line as parse_scenario does
         line = len((data[: err.start].decode("utf-8") + "?").splitlines())
         raise ScenarioError(f"byte {data[err.start]:#04x} is not UTF-8 text", line) from None
-    return parse_scenario(text)
+    return parse_scenario(text, seed)

@@ -21,6 +21,15 @@ hop. A mote that hits zero is dead for good and neither sends nor receives.
 All randomness flows from named substreams of the scenario seed and every
 within-interval sweep runs in ascending address order, so a scenario
 reproduces the same trace byte for byte.
+
+Because the dead never come back, the live graph holds still from one death
+to the next, and trust holds still throughout ``_serve``. Two caches rest on
+that, and a death is the one thing that voids either: ``_route_greedy``
+keeps each holder's next hop in a table that ``_serve`` clears and that
+``_hop`` clears whenever either end dies; ``_flood`` keeps the senders of
+each mote's last walk, which stay a live component while they all live,
+and reuses them while every one would also survive its rx. Either way, each
+mote pays exactly what a fresh computation would have billed it.
 """
 
 from __future__ import annotations
@@ -586,6 +595,9 @@ class _Simulation:
             )
         self.theta = scenario.theta_base
         self.records: list[IntervalRecord] = []
+        # two caches that hold until a mote dies, since the dead never come back
+        self._next_hop: dict[int, int] = {}  # greedy holder -> next hop, -1 for none; cleared by _serve and deaths
+        self._reach: list[tuple[int, ...] | None] = [None] * scenario.motes  # per mote, its last flood's senders
 
     # -- helpers ------------------------------------------------------------
 
@@ -598,11 +610,26 @@ class _Simulation:
     def _alive_motes(self) -> list[MoteState]:
         return [self.motes[a] for a in self.society if self.motes[a].alive]
 
-    def _flood(self, origin: int) -> set[int]:
-        """Duplicate-suppressed broadcast; returns the motes that processed it."""
+    def _flood(self, origin: int) -> tuple[int, ...]:
+        """Duplicate-suppressed broadcast; returns the motes that processed it, in the order they sent."""
         motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
         if not motes[origin].alive:
-            return set()
+            return ()
+        reach = self._reach[origin]
+        if reach is not None:
+            # members that all live are still the origin's live component; if each survives its rx,
+            # the walk would reach them all, so bill each what the walk would and skip the walk
+            rx = costs.rx
+            for b in reach:
+                peer = motes[b]
+                if not peer.alive or not (b == origin or peer.unconstrained or peer.energy - rx > 0.0):
+                    break
+            else:
+                for b in reach:
+                    if b != origin:
+                        charge_energy(motes[b], "rx", costs)
+                    charge_energy(motes[b], "tx", costs)
+                return reach
         processed = {origin}
         # breadth first: a mote pays one rx when first reached and one tx when its turn comes, and
         # nothing bills it in between, so it is alive then and the order within a level changes no charge
@@ -619,7 +646,11 @@ class _Simulation:
                 if peer.alive:
                     processed.add(b)
                     senders.append(b)
-        return processed
+        # every live neighbor of a sender got its rx, so while all the senders live they are a live component
+        reach = tuple(senders)
+        for b in reach:
+            self._reach[b] = reach
+        return reach
 
     def _shortest_path(self, src: int, dst: int) -> list[int] | None:
         if src == dst:
@@ -650,6 +681,9 @@ class _Simulation:
         charge_energy(sender, "tx", costs)  # the frame leaves even if it drains the sender
         if receiver.alive:
             charge_energy(receiver, "rx", costs)
+            if receiver.alive and sender.alive:
+                return True
+        self._next_hop.clear()  # a death changes the live graph the next hops were chosen on
         return receiver.alive
 
     def _unicast(self, src: int, dst: int) -> bool:
@@ -664,16 +698,19 @@ class _Simulation:
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""
-        motes, adjacency = self.motes, self.adjacency
+        motes, adjacency, next_hop = self.motes, self.adjacency, self._next_hop
         current = src
         for _ in range(self.sc.motes):
             mote = motes[current]
             if not mote.alive:
                 return False
-            candidates = [b for b in adjacency[current] if motes[b].alive]
-            if not candidates:
+            hop = next_hop.get(current)
+            if hop is None:  # in _serve trust holds still, and _hop clears the table when the live graph changes
+                candidates = [b for b in adjacency[current] if motes[b].alive]
+                hop = next_hop[current] = select_peer(mote, candidates) if candidates else -1
+            if hop < 0:
                 return False
-            current = select_peer(mote, candidates)
+            current = hop
             if not self._hop(mote, motes[current]):
                 return False
             if current == dst:
@@ -785,6 +822,7 @@ class _Simulation:
     def _serve(self, provider: int | None, stats: Counter[str]) -> dict[int, int]:
         """Each live mote picks its most trusted neighbor, queries the host and routes one message to it."""
         selections: dict[int, int] = {}
+        self._next_hop.clear()  # the monitor phase has moved trust since the last _serve
         for a in self.society:
             mote = self.motes[a]
             if not mote.alive:

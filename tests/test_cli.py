@@ -79,18 +79,21 @@ class TestRunCommand:
         assert "scenario error" in capsys.readouterr().err
 
     def test_seed_that_voids_a_link_override_is_scenario_error(self, tmp_path, capsys):
-        # edge 0-2 exists in this geometric draw at seed 1 but not at seed 2
+        # edge 0-2 exists in this geometric draw at seed 1 but not at seed 2; --seed applies
+        # before the one validation, so the error keeps the override's line
         geo = tmp_path / "geo.scn"
         geo.write_text(
-            "[network]\nmotes = 10\ntopology = geometric\nradius = 0.4\nseed = 1\n"
+            "[network]\nmotes = 10\nintervals = 2\ntopology = geometric\nradius = 0.4\nseed = 1\n"
             "[links]\n0-2.link_quality = 0.5\n",
             encoding="utf-8",
         )
+        assert run_cli(["validate", str(geo)]) == EXIT_OK
+        capsys.readouterr()
         out = tmp_path / "o"
         assert run_cli(["run", str(geo), "--out", str(out), "--seed", "2"]) == EXIT_SCENARIO
-        err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and "0-2" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            "scenario error: line 8: link 0-2 does not exist in the geometric topology\n"
+        )
         assert not out.exists()
 
     def test_unwritable_out_dir_is_io_error(self, scenario_file, tmp_path, capsys):

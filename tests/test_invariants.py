@@ -4,13 +4,18 @@ Every topology, engine and architecture, failover on and off, batteries
 low enough that motes die mid-run, and scripted kills. Whatever the
 scenario, a run keeps energy within [0, capacity], never revives the dead,
 never delivers more than it sent, floods once per announcement and once
-per served aggregate, and repeats itself exactly.
+per served aggregate, and repeats itself exactly. It also gives the same
+trace as a simulation that keeps no liveness cache.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
-from motetrust.simnet import ARCHITECTURES, TOPOLOGIES, Engine, LinkTruth, Scenario, run
+from motetrust import simnet
+from motetrust.simnet import ARCHITECTURES, TOPOLOGIES, Engine, LinkTruth, Scenario, _Simulation, charge_energy, run
 
 CAPACITY = 3.0
 
@@ -74,3 +79,107 @@ def test_the_strategy_drains_batteries():
         settings=settings(max_examples=200, deadline=None, database=None),
     )
     assert deaths(run(found)) > 0
+
+
+class _Walking(_Simulation):
+    """The simulation without its liveness caches: every greedy hop selects and every flood walks."""
+
+    def _flood(self, origin):
+        motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
+        if not motes[origin].alive:
+            return set()
+        processed = {origin}
+        senders = [origin]
+        for a in senders:
+            charge_energy(motes[a], "tx", costs)
+            for b in adjacency[a]:
+                if b in processed:
+                    continue
+                peer = motes[b]
+                if not peer.alive:
+                    continue
+                charge_energy(peer, "rx", costs)
+                if peer.alive:
+                    processed.add(b)
+                    senders.append(b)
+        return processed
+
+    def _hop(self, sender, receiver):
+        costs = self.sc.costs
+        charge_energy(sender, "tx", costs)
+        if receiver.alive:
+            charge_energy(receiver, "rx", costs)
+        return receiver.alive
+
+    def _route_greedy(self, src, dst):
+        motes, adjacency = self.motes, self.adjacency
+        current = src
+        for _ in range(self.sc.motes):
+            mote = motes[current]
+            if not mote.alive:
+                return False
+            candidates = [b for b in adjacency[current] if motes[b].alive]
+            if not candidates:
+                return False
+            current = simnet.select_peer(mote, candidates)
+            if not self._hop(mote, motes[current]):
+                return False
+            if current == dst:
+                return True
+        return False
+
+
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_the_caches_change_no_trace(scenario):
+    with mock.patch.object(simnet, "_Simulation", _Walking):
+        walked = run(scenario)
+    assert run(scenario) == walked
+
+
+class _Probe(_Simulation):
+    """Notes when a death voids a cache: a stored next hop in _serve, or a stored flood reach."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.serving = False
+        self.seen: set[str] = set()
+
+    def _serve(self, provider, stats):
+        self.serving = True
+        try:
+            return super()._serve(provider, stats)
+        finally:
+            self.serving = False
+
+    def _hop(self, sender, receiver):
+        stored, both_alive = bool(self._next_hop), sender.alive and receiver.alive
+        result = super()._hop(sender, receiver)
+        if self.serving and stored and both_alive and not (sender.alive and receiver.alive):
+            self.seen.add("next hops voided")
+        return result
+
+    def _flood(self, origin):
+        stored = self._reach[origin] if self.motes[origin].alive else None
+        result = super()._flood(origin)
+        if stored is not None and result is not stored:
+            self.seen.add("reach voided")
+        return result
+
+
+def voided(scenario) -> set[str]:
+    sim = _Probe(scenario)
+    for k in range(scenario.intervals):
+        sim.run_interval(k)
+    return sim.seen
+
+
+@pytest.mark.parametrize("event", ["next hops voided", "reach voided"])
+def test_the_strategy_voids_each_cache(event):
+    # the oracle above only bites if some generated run has a death void a stored cache entry
+    found = find(
+        scenarios(),
+        lambda s: event in voided(s),
+        settings=settings(max_examples=500, deadline=None, database=None),
+    )
+    assert event in voided(found)

@@ -337,6 +337,39 @@ class TestChargeEnergy:
         assert mote.energy == 100.0
 
 
+class TestFloodReach:
+    """A flood reuses its last reach only when the walk would bill every mote the same."""
+
+    @staticmethod
+    def twins():
+        # a 3-mote grid is the path 1 - 0 - 2, so mote 0 relays every flood between 1 and 2
+        return [_Simulation(plentiful(motes=3, topology="grid")) for _ in range(2)]
+
+    @staticmethod
+    def energies(sim):
+        return {a: (m.energy, m.alive) for a, m in sim.motes.items()}
+
+    def test_reuse_bills_what_the_walk_bills(self):
+        cached, walked = self.twins()
+        for sim in (cached, walked):
+            assert set(sim._flood(1)) == {0, 1, 2}
+        walked._reach = [None] * 3  # forget the reach, so the next flood walks
+        reach = cached._reach[1]
+        assert cached._flood(1) is reach and walked._flood(1) == reach
+        assert self.energies(cached) == self.energies(walked)
+
+    def test_a_mote_short_of_one_rx_forces_the_walk(self):
+        cached, walked = self.twins()
+        for sim in (cached, walked):
+            sim._flood(1)
+            sim.motes[0].energy = 0.005  # less than one rx: the relay dies on it, so mote 2 is never reached
+        walked._reach = [None] * 3  # forget the reach, so the next flood walks
+        unreached = self.energies(cached)[2]
+        assert cached._flood(1) == walked._flood(1) == (1,)
+        assert self.energies(cached) == self.energies(walked)
+        assert self.energies(cached)[2] == unreached
+
+
 class TestRun:
     def test_single_mote_society(self):
         trace = run(plentiful(motes=1, intervals=3))
