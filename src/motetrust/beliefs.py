@@ -23,6 +23,7 @@ identity canonical and order-independent but caps the frame at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
@@ -203,6 +204,7 @@ class EvidenceCounts:
         return sum(self._counts.values())
 
 
+@functools.lru_cache(maxsize=1024)  # tables with equal counts share one posterior float
 def _conditional(numerator: int, denominator: int, smoothing: bool) -> float:
     # add-one smoothing spreads one pseudo-count over each of the two
     # hypothesis values, so an empty table answers 0.5

@@ -8,7 +8,8 @@ each key below to the setting it sets and the caster that reads it. A value
 is cast on its own line, so the first bad line is the one reported. The
 checks that need the whole file run in ``Scenario.validate``, the one place
 a scenario is checked; the parser passes it the line of each key, override
-edge, link event and kill, so those errors name their line too.
+edge, link event and kill, so those errors name their line too. A repeated
+section, key, override field, event token or kill is an error at its line.
 
     [network]
     motes = 20            # society size (addresses 0..motes-1)
@@ -291,7 +292,10 @@ def _parse_event(
             raise ScenarioError("mote events support only action=kill", lineno)
         if tokens:
             raise ScenarioError(f"unexpected event tokens {sorted(tokens)}", lineno)
-        mote_kills.setdefault(at, []).append(addr)
+        kills = mote_kills.setdefault(at, [])
+        if addr in kills:
+            raise ScenarioError(f"duplicate kill of mote {addr} at interval {at}", lineno)
+        kills.append(addr)
         return "kill", at, addr
     raise ScenarioError("event needs link=A-B or mote=N", lineno)
 

@@ -23,20 +23,34 @@ within-interval sweep runs in ascending address order, so a scenario
 reproduces the same trace byte for byte.
 
 Because the dead never come back, the live graph holds still from one death
-to the next, and trust holds still throughout ``_serve``. Two caches rest on
-that, and a death is the one thing that voids either: ``_route_greedy``
-keeps each holder's next hop in a table that ``_serve`` clears and that
-``_hop`` clears whenever either end dies; ``_flood`` keeps the senders of
-each mote's last walk, which stay a live component while they all live,
-and reuses them while every one would also survive its rx. Either way, each
-mote pays exactly what a fresh computation would have billed it.
+to the next, and trust holds still throughout ``_serve``. Four caches rest on
+that, and a death is the one thing that voids any of them:
+
+* ``_route_greedy`` keeps each holder's next hop in a table that ``_serve``
+  clears;
+* ``_flood`` keeps the senders of each mote's last walk, which stay a live
+  component while they all live, and reuses them while every one would also
+  survive its rx;
+* ``_unicast`` keeps each mote's upload path to the host, as bytes, for that
+  mote's query;
+* ``_unicast`` reads every answer's path from one BFS tree rooted at the
+  host, which sets the same parents as a search that stops at the asker.
+
+The upload paths and the tree start afresh in each ``_aggregate``. ``_hop``
+voids them and the next hops whenever either end dies, and ``_aggregate``
+voids them when its flood kills a mote, which ``_hop`` never sees. The
+flood reach checks its members itself. Either way, each mote pays exactly what a fresh computation would
+have billed it. The engines share what they derive: equal counts give one
+frozen ``TrustRecord`` and one Bayes posterior float, and a qad mote hands
+out a peer's last ``PairRecord`` again while its assessment holds, so a
+trace stores each distinct figure once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Protocol
@@ -390,6 +404,10 @@ class TrustEngine(Protocol):
     def pair_records(self) -> list[PairRecord]: ...
 
 
+#: The five assessments as floats, so the records of a trace share them.
+_SCALE = {value: float(value) for value in range(-2, 3)}
+
+
 class QadTrust:
     """Quintile assessments: each score, quantized, lands in the mote's own row of its minor.
 
@@ -402,6 +420,7 @@ class QadTrust:
         self.a_minor = a_minor
         self._column = a_minor._index  # subject address -> column
         self._row = a_minor.matrix._rows[a_minor.index_of(addr)]  # written in place, never replaced
+        self._pairs: dict[int, PairRecord] = {}  # peer -> its last record, handed out again while it holds
 
     def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None:
         self._row[self.a_minor.index_of(peer)] = quantize_observation(score)
@@ -412,8 +431,16 @@ class QadTrust:
         return -3.0 if value is None else float(value)  # unassessed ranks below the scale
 
     def pair_records(self) -> list[PairRecord]:
-        row = self.a_minor.row(self.addr)
-        return [PairRecord(self.addr, dst, float(row[dst])) for dst in sorted(row) if dst != self.addr]
+        out, pairs, row = [], self._pairs, self.a_minor.row(self.addr)
+        for dst in sorted(row):
+            if dst == self.addr:
+                continue
+            value = row[dst]
+            record = pairs.get(dst)
+            if record is None or record.metric != value:  # the assessment changed since the last record
+                record = pairs[dst] = PairRecord(self.addr, dst, _SCALE[value])
+            out.append(record)
+        return out
 
 
 class _CachedTrust:
@@ -595,9 +622,12 @@ class _Simulation:
             )
         self.theta = scenario.theta_base
         self.records: list[IntervalRecord] = []
-        # two caches that hold until a mote dies, since the dead never come back
+        # caches that hold until a mote dies, since the dead never come back
         self._next_hop: dict[int, int] = {}  # greedy holder -> next hop, -1 for none; cleared by _serve and deaths
         self._reach: list[tuple[int, ...] | None] = [None] * scenario.motes  # per mote, its last flood's senders
+        self._host: int | None = None  # the interval's host, which every unicast starts or ends at
+        self._to_host: dict[int, bytes] = {}  # mote -> its path to the host, kept from its upload for its query
+        self._host_tree: dict[int, int] | None = None  # BFS parents from the host, built at the first answer
 
     # -- helpers ------------------------------------------------------------
 
@@ -652,28 +682,33 @@ class _Simulation:
             self._reach[b] = reach
         return reach
 
-    def _shortest_path(self, src: int, dst: int) -> list[int] | None:
-        if src == dst:
-            return [src]
+    def _bfs(self, src: int, dst: int | None = None) -> dict[int, int]:
+        """Breadth-first parents over the live motes from ``src`` (its own parent), stopping at ``dst``."""
         motes, adjacency = self.motes, self.adjacency
-        if not motes[src].alive or not motes[dst].alive:
-            return None
-        parents: dict[int, int | None] = {src: None}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
+        parents = {src: src}
+        queue = [src]
+        for cur in queue:  # grows as the search reaches new motes
             for b in adjacency[cur]:  # ascending: deterministic parents
                 if b in parents or not motes[b].alive:
                     continue
                 parents[b] = cur
                 if b == dst:
-                    path = [b]
-                    while path[-1] != src:
-                        path.append(parents[path[-1]])  # type: ignore[arg-type]
-                    path.reverse()
-                    return path
+                    return parents
                 queue.append(b)
-        return None
+        return parents
+
+    def _shortest_path(self, src: int, dst: int) -> list[int] | None:
+        if src == dst:
+            return [src]
+        if not self.motes[src].alive or not self.motes[dst].alive:
+            return None
+        return _path(self._bfs(src, dst), dst)
+
+    def _void_routes(self) -> None:
+        """Forget every route chosen on the live graph, which any death changes."""
+        self._next_hop.clear()
+        self._to_host.clear()
+        self._host_tree = None
 
     def _hop(self, sender: MoteState, receiver: MoteState) -> bool:
         """One radio hop: tx to the sender, rx to a live receiver; True if the receiver survives it."""
@@ -683,13 +718,26 @@ class _Simulation:
             charge_energy(receiver, "rx", costs)
             if receiver.alive and sender.alive:
                 return True
-        self._next_hop.clear()  # a death changes the live graph the next hops were chosen on
+        self._void_routes()  # a death changes the live graph the routes were chosen on
         return receiver.alive
 
     def _unicast(self, src: int, dst: int) -> bool:
-        """Hop-by-hop delivery along the shortest live path; False when it breaks."""
-        path = self._shortest_path(src, dst)
-        if path is None:
+        """Hop-by-hop delivery along the shortest live path; False when it breaks.
+
+        Every unicast runs between a mote and the host that ``_aggregate`` set. An answer's path
+        comes from one BFS tree rooted at the host: a search that stops at the asker has set the same
+        parents by then. A mote's path to the host is kept from its upload for its query. Until a
+        death voids them, both are the paths a fresh search would find.
+        """
+        if src == self._host:
+            if self._host_tree is None:
+                self._host_tree = self._bfs(src) if self.motes[src].alive else {}
+            path = _path(self._host_tree, dst)
+        else:
+            path = self._to_host.get(src)
+            if path is None:  # every address is below 256; b"" when there is no path
+                path = self._to_host[src] = bytes(self._shortest_path(src, dst) or ())
+        if not path:
             return False
         for sender, receiver in zip(path, path[1:]):  # each receiver that survives sends the next hop
             if not self._hop(self.motes[sender], self.motes[receiver]):
@@ -793,6 +841,8 @@ class _Simulation:
         """Upload the minors, aggregate them and flood the result; the next theta, or None if the host died."""
         sc = self.sc
         host = self.motes[provider]
+        self._host = provider
+        self._void_routes()  # routes lead to this interval's host, over the live graph as it is now
         # uploads pass the live matrices: nothing writes them before aggregate_major reads them
         minors = [(provider, host.a_minor, sc.qad_operator)]
         rocs = [roc_map[provider]]
@@ -815,7 +865,10 @@ class _Simulation:
         charge_energy(host, "compute", sc.costs)
         if not host.alive:
             return None
+        live = len(self._alive_motes())
         self._flood(provider)  # push the aggregate and next period out
+        if len(self._alive_motes()) < live:  # _hop never sees a flood's deaths
+            self._void_routes()
         stats["floods"] += 1
         return theta_next
 
@@ -893,6 +946,18 @@ class _Simulation:
         """Mean combined trustworthiness over every pair that carries one, dead observers too."""
         combined = [p.combined for m in self.motes.values() for p in m.trust.pair_records() if p.combined is not None]
         return math.fsum(combined) / len(combined) if combined else None
+
+
+def _path(parents: dict[int, int], dst: int) -> list[int] | None:
+    """The path from the root of a breadth-first search to ``dst``, or None if it never reached it."""
+    if dst not in parents:
+        return None
+    path = [dst]
+    while parents[dst] != dst:
+        dst = parents[dst]
+        path.append(dst)
+    path.reverse()
+    return path
 
 
 def run(scenario: Scenario) -> SimulationTrace:

@@ -24,6 +24,7 @@ Both confidence and trustworthiness fall into the same four bands:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -144,6 +145,7 @@ class TrustRecord:
     combined: float
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)  # records are frozen, so equal counts share one
     def from_counts(
         cls, counts: BehaviorCounts, params: TrustworthinessParams = DEFAULT_PARAMS
     ) -> "TrustRecord":

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from motetrust.beliefs import (
     bayes_posterior2,
     consensus,
 )
+from motetrust.beliefs import _conditional
 
 GB = Frame(("good", "bad"))
 
@@ -266,3 +269,11 @@ class TestBayesPosterior:
 
     def test_half_prior_when_two_evidence_table_empty(self):
         assert bayes_posterior2(EvidenceCounts(evidence_arity=2)) == pytest.approx(0.5)
+
+    def test_equal_counts_share_one_posterior(self):
+        tables = [EvidenceCounts(evidence_arity=2) for _ in range(2)]
+        for table in tables:
+            table.record(True, True, True, times=5)
+            table.record(False, True, True, times=2)
+        assert bayes_posterior2(tables[0]) is bayes_posterior2(tables[1])
+        assert 0 < _conditional.cache_info().maxsize < math.inf

@@ -8,10 +8,11 @@ per served aggregate, and repeats itself exactly. It also gives the same
 trace as a simulation that keeps no liveness cache.
 """
 
+from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, find, given, settings
+from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 
 from motetrust import simnet
@@ -82,7 +83,8 @@ def test_the_strategy_drains_batteries():
 
 
 class _Walking(_Simulation):
-    """The simulation without its liveness caches: every greedy hop selects and every flood walks."""
+    """The simulation without its liveness caches: every greedy hop selects, every flood walks and every
+    unicast searches afresh."""
 
     def _flood(self, origin):
         motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
@@ -111,6 +113,38 @@ class _Walking(_Simulation):
             charge_energy(receiver, "rx", costs)
         return receiver.alive
 
+    def _shortest_path(self, src, dst):
+        if src == dst:
+            return [src]
+        motes, adjacency = self.motes, self.adjacency
+        if not motes[src].alive or not motes[dst].alive:
+            return None
+        parents = {src: None}
+        queue = deque([src])
+        while queue:
+            cur = queue.popleft()
+            for b in adjacency[cur]:
+                if b in parents or not motes[b].alive:
+                    continue
+                parents[b] = cur
+                if b == dst:
+                    path = [b]
+                    while path[-1] != src:
+                        path.append(parents[path[-1]])
+                    path.reverse()
+                    return path
+                queue.append(b)
+        return None
+
+    def _unicast(self, src, dst):
+        path = self._shortest_path(src, dst)
+        if path is None:
+            return False
+        for sender, receiver in zip(path, path[1:]):
+            if not self._hop(self.motes[sender], self.motes[receiver]):
+                return False
+        return True
+
     def _route_greedy(self, src, dst):
         motes, adjacency = self.motes, self.adjacency
         current = src
@@ -129,8 +163,26 @@ class _Walking(_Simulation):
         return False
 
 
+# the aggregate's flood drains a relay on a stored upload path, and the asker queries before any hop death
+FLOOD_KILLS_A_RELAY = Scenario(
+    motes=9,
+    intervals=1,
+    topology="geometric",
+    radius=0.5,
+    seed=9,
+    failover=False,
+    architecture="sink",
+    engine=Engine.QAD,
+    capacity=CAPACITY,
+    init_energy=0.5,
+    harvest_rate=0.0,
+    default_link=LinkTruth(noise_scale=0.0),
+)
+
+
 @settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
+@example(FLOOD_KILLS_A_RELAY)
 def test_the_caches_change_no_trace(scenario):
     with mock.patch.object(simnet, "_Simulation", _Walking):
         walked = run(scenario)
@@ -138,32 +190,47 @@ def test_the_caches_change_no_trace(scenario):
 
 
 class _Probe(_Simulation):
-    """Notes when a death voids a cache: a stored next hop in _serve, or a stored flood reach."""
+    """Notes when a death voids a cache: a stored next hop or host tree in _serve, stored upload paths in
+    the aggregate's flood, or a stored flood reach."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self.serving = False
+        self.phase = None
         self.seen: set[str] = set()
 
+    def _aggregate(self, *args):
+        self.phase = "aggregate"
+        try:
+            return super()._aggregate(*args)
+        finally:
+            self.phase = None
+
     def _serve(self, provider, stats):
-        self.serving = True
+        self.phase = "serve"
         try:
             return super()._serve(provider, stats)
         finally:
-            self.serving = False
+            self.phase = None
 
     def _hop(self, sender, receiver):
-        stored, both_alive = bool(self._next_hop), sender.alive and receiver.alive
+        hops, tree, both_alive = bool(self._next_hop), self._host_tree, sender.alive and receiver.alive
         result = super()._hop(sender, receiver)
-        if self.serving and stored and both_alive and not (sender.alive and receiver.alive):
-            self.seen.add("next hops voided")
+        if self.phase == "serve" and both_alive and not (sender.alive and receiver.alive):
+            if hops:
+                self.seen.add("next hops voided")
+            if tree:
+                self.seen.add("host tree voided")
         return result
 
     def _flood(self, origin):
         stored = self._reach[origin] if self.motes[origin].alive else None
+        paths = self.phase == "aggregate" and any(self._to_host.values())
+        live = sum(m.alive for m in self.motes.values())
         result = super()._flood(origin)
         if stored is not None and result is not stored:
             self.seen.add("reach voided")
+        if paths and sum(m.alive for m in self.motes.values()) < live:
+            self.seen.add("upload path voided")
         return result
 
 
@@ -174,7 +241,7 @@ def voided(scenario) -> set[str]:
     return sim.seen
 
 
-@pytest.mark.parametrize("event", ["next hops voided", "reach voided"])
+@pytest.mark.parametrize("event", ["next hops voided", "reach voided", "upload path voided", "host tree voided"])
 def test_the_strategy_voids_each_cache(event):
     # the oracle above only bites if some generated run has a death void a stored cache entry
     found = find(

@@ -128,6 +128,19 @@ class TestErrors:
         msg = error_of("[network]\nmotes = 4\n[network]\n")
         assert "duplicate section" in msg
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[network]\n[events]\nat=1 at=2 mote=1 action=kill\n", "line 3: duplicate event token 'at'"),
+            (
+                "[network]\nmotes = 4\nintervals = 3\n[events]\nat=1 mote=2 action=kill\nat=1 mote=2 action=kill\n",
+                "line 6: duplicate kill of mote 2 at interval 1",
+            ),
+        ],
+    )
+    def test_a_duplicate_event_names_its_line(self, text, message):
+        assert error_of(text) == message
+
     def test_key_outside_section(self):
         assert error_of("motes = 4\n").startswith("line 1:")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -228,6 +229,19 @@ class TestQadStorage:
             for pair in mote.trust.pair_records():
                 assert pair.metric == mote.trust.metric(pair.dst) == float(mote.a_minor.get(mote.addr, pair.dst))
 
+    def test_pair_record_is_reused_while_its_assessment_holds(self):
+        sim = _Simulation(plentiful(engine=Engine.QAD))
+        sim.run_interval(0)
+        mote = sim.motes[0]
+        first = {p.dst: p for p in mote.trust.pair_records()}
+        sim.run_interval(1)
+        again = {p.dst: p for p in mote.trust.pair_records()}
+        assert first.keys() == again.keys() and all(again[d] is first[d] for d in first)
+        mote.a_minor.set(0, 1, int(first[1].metric) - 1)
+        changed = {p.dst: p for p in mote.trust.pair_records()}
+        assert changed[1] is not first[1] and changed[1].metric == first[1].metric - 1
+        assert changed[5] is first[5]
+
     def test_checked_accessors_still_raise(self):
         minor = make_mote(Engine.QAD).a_minor
         with pytest.raises(IndexError):
@@ -368,6 +382,29 @@ class TestFloodReach:
         assert cached._flood(1) == walked._flood(1) == (1,)
         assert self.energies(cached) == self.energies(walked)
         assert self.energies(cached)[2] == unreached
+
+
+class TestHostRoutes:
+    """A path kept from an upload serves its query only while a fresh search would find the same one."""
+
+    def test_a_flood_death_on_a_stored_upload_path_forces_a_fresh_search(self):
+        # on the ring 0-1-2-3, mote 2 uploads to host 0 through relay 1, and the aggregate's flood drains 1
+        cached, fresh = (_Simulation(plentiful(motes=4)) for _ in range(2))
+        assert cached._shortest_path(2, 0) == [2, 1, 0]
+        stats = {}
+        for sim in (cached, fresh):
+            sim.motes[1].energy = 0.055  # the uploads leave it less than the flood's rx
+            stats[sim] = Counter()
+            assert sim._aggregate(0, 0, dict.fromkeys(range(4), 1), stats[sim]) is not None
+            assert not sim.motes[1].alive
+        fresh._to_host.clear()  # forget the stored paths, so every query searches afresh
+        for sim in (cached, fresh):
+            sim._serve(0, stats[sim])
+        assert stats[cached] == stats[fresh]
+        assert stats[cached]["queries_answered"] == 3  # mote 2 asks around the dead relay, through 3
+        assert {a: (m.energy, m.alive) for a, m in cached.motes.items()} == {
+            a: (m.energy, m.alive) for a, m in fresh.motes.items()
+        }
 
 
 class TestRun:

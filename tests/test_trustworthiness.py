@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -177,6 +178,25 @@ class TestTrustRecord:
         assert r.trust == pytest.approx(trust_value(c))
         assert r.confidence == pytest.approx(confidence(c))
         assert r.combined == pytest.approx(trustworthiness(r.trust, r.confidence))
+
+    def test_equal_counts_share_one_record(self):
+        first = TrustRecord.from_counts(BehaviorCounts(7, 2))
+        assert TrustRecord.from_counts(BehaviorCounts(7.0, 2.0)) is first
+        assert TrustRecord.from_counts(BehaviorCounts(2, 7)) is not first
+        with pytest.raises(AttributeError):
+            first.trust = 0.0  # shared, so frozen
+
+    def test_subclass_gets_its_own_class(self):
+        class Tagged(TrustRecord):
+            pass
+
+        counts = BehaviorCounts(4, 3)
+        tagged = Tagged.from_counts(counts)
+        assert type(tagged) is Tagged and type(TrustRecord.from_counts(counts)) is TrustRecord
+        assert tagged == Tagged(*dataclasses.astuple(TrustRecord.from_counts(counts)))
+
+    def test_record_cache_is_bounded(self):
+        assert 0 < TrustRecord.from_counts.cache_info().maxsize < math.inf
 
 
 class TestSystemTrustworthiness:
