@@ -152,7 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 def main() -> None:

@@ -16,8 +16,11 @@ intervals. ``_Simulation.run_interval`` runs one phase method after another:
 * ``_serve``: each mote selects its most trusted neighbor, queries the
   host, and greedily trust-routes one application message to it.
 
-Every action costs energy, and ``_hop`` bills every point-to-point radio
-hop. A mote that hits zero is dead for good and neither sends nor receives.
+Every action costs energy. ``charge_energy`` bills the compute charges; the
+loops that walk the radio graph (``_hop``'s polls, ``_flood``, ``_unicast``
+and ``_route_greedy``) debit tx and rx in place with its arithmetic, so each
+mote pays the same sequence of charges. A mote that hits zero is dead for
+good and neither sends nor receives.
 All randomness flows from named substreams of the scenario seed and every
 within-interval sweep runs in ascending address order, so a scenario
 reproduces the same trace byte for byte.
@@ -36,14 +39,14 @@ that, and a death is the one thing that voids any of them:
 * ``_unicast`` reads every answer's path from one BFS tree rooted at the
   host, which sets the same parents as a search that stops at the asker.
 
-The upload paths and the tree start afresh in each ``_aggregate``. ``_hop``
-voids them and the next hops whenever either end dies, and ``_aggregate``
-voids them when its flood kills a mote, which ``_hop`` never sees. The
-flood reach checks its members itself. Either way, each mote pays exactly what a fresh computation would
-have billed it. The engines share what they derive: equal counts give one
-frozen ``TrustRecord`` and one Bayes posterior float, and a qad mote hands
-out a peer's last ``PairRecord`` again while its assessment holds, so a
-trace stores each distinct figure once.
+The upload paths and the tree start afresh in each ``_aggregate``. Every
+death in a poll, a flood, a unicast or a greedy route voids them and the
+next hops at once; the flood reach checks its members itself. Either way,
+each mote pays exactly what a fresh computation would have billed it. The
+engines share what they derive: equal counts give one frozen
+``TrustRecord`` and one Bayes posterior float, and a qad mote hands out a
+peer's last ``PairRecord`` again while its assessment holds, so a trace
+stores each distinct figure once.
 """
 
 from __future__ import annotations
@@ -336,7 +339,7 @@ class MoteState:
 
 def charge_energy(mote: MoteState, action: str, costs: EnergyCosts) -> MoteState:
     """Bill one action. Hitting zero kills the mote; dead motes are never billed."""
-    # an inline if chain: the simulator bills every hop through here
+    # _Simulation's radio walks repeat this debit inline, once per hop; a change here belongs there too
     if action == "tx":
         cost = costs.tx
     elif action == "rx":
@@ -645,37 +648,59 @@ class _Simulation:
         motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
         if not motes[origin].alive:
             return ()
+        tx, rx = costs.tx, costs.rx
         reach = self._reach[origin]
         if reach is not None:
             # members that all live are still the origin's live component; if each survives its rx,
             # the walk would reach them all, so bill each what the walk would and skip the walk
-            rx = costs.rx
             for b in reach:
                 peer = motes[b]
                 if not peer.alive or not (b == origin or peer.unconstrained or peer.energy - rx > 0.0):
                     break
             else:
                 for b in reach:
-                    if b != origin:
-                        charge_energy(motes[b], "rx", costs)
-                    charge_energy(motes[b], "tx", costs)
+                    mote = motes[b]
+                    if mote.unconstrained:
+                        continue
+                    energy = (mote.energy if b == origin else mote.energy - rx) - tx  # the rx leaves it alive
+                    if energy > 0.0:
+                        mote.energy = energy
+                    else:
+                        mote.energy = 0.0
+                        mote.alive = False
+                        self._void_routes()
                 return reach
         processed = {origin}
         # breadth first: a mote pays one rx when first reached and one tx when its turn comes, and
         # nothing bills it in between, so it is alive then and the order within a level changes no charge
         senders = [origin]
         for a in senders:  # grows as the broadcast reaches new motes
-            charge_energy(motes[a], "tx", costs)  # the broadcast leaves even if it drains the sender
+            sender = motes[a]
+            if not sender.unconstrained:  # the broadcast leaves even if it drains the sender
+                energy = sender.energy - tx
+                if energy > 0.0:
+                    sender.energy = energy
+                else:
+                    sender.energy = 0.0
+                    sender.alive = False
+                    self._void_routes()
             for b in adjacency[a]:
                 if b in processed:
                     continue  # duplicates are discarded without processing
                 peer = motes[b]
                 if not peer.alive:
                     continue
-                charge_energy(peer, "rx", costs)
-                if peer.alive:
-                    processed.add(b)
-                    senders.append(b)
+                if not peer.unconstrained:
+                    energy = peer.energy - rx
+                    if energy > 0.0:
+                        peer.energy = energy
+                    else:
+                        peer.energy = 0.0
+                        peer.alive = False
+                        self._void_routes()
+                        continue
+                processed.add(b)
+                senders.append(b)
         # every live neighbor of a sender got its rx, so while all the senders live they are a live component
         reach = tuple(senders)
         for b in reach:
@@ -711,11 +736,23 @@ class _Simulation:
         self._host_tree = None
 
     def _hop(self, sender: MoteState, receiver: MoteState) -> bool:
-        """One radio hop: tx to the sender, rx to a live receiver; True if the receiver survives it."""
+        """One poll hop: tx to the sender, rx to a live receiver; True if the receiver survives it."""
         costs = self.sc.costs
-        charge_energy(sender, "tx", costs)  # the frame leaves even if it drains the sender
+        if sender.alive and not sender.unconstrained:  # the frame leaves even if it drains the sender
+            energy = sender.energy - costs.tx
+            if energy > 0.0:
+                sender.energy = energy
+            else:
+                sender.energy = 0.0
+                sender.alive = False
         if receiver.alive:
-            charge_energy(receiver, "rx", costs)
+            if not receiver.unconstrained:
+                energy = receiver.energy - costs.rx
+                if energy > 0.0:
+                    receiver.energy = energy
+                else:
+                    receiver.energy = 0.0
+                    receiver.alive = False
             if receiver.alive and sender.alive:
                 return True
         self._void_routes()  # a death changes the live graph the routes were chosen on
@@ -729,9 +766,10 @@ class _Simulation:
         parents by then. A mote's path to the host is kept from its upload for its query. Until a
         death voids them, both are the paths a fresh search would find.
         """
+        motes = self.motes
         if src == self._host:
             if self._host_tree is None:
-                self._host_tree = self._bfs(src) if self.motes[src].alive else {}
+                self._host_tree = self._bfs(src) if motes[src].alive else {}
             path = _path(self._host_tree, dst)
         else:
             path = self._to_host.get(src)
@@ -739,28 +777,69 @@ class _Simulation:
                 path = self._to_host[src] = bytes(self._shortest_path(src, dst) or ())
         if not path:
             return False
-        for sender, receiver in zip(path, path[1:]):  # each receiver that survives sends the next hop
-            if not self._hop(self.motes[sender], self.motes[receiver]):
+        costs = self.sc.costs
+        tx, rx = costs.tx, costs.rx
+        sender = motes[path[0]]
+        for b in path[1:]:  # each receiver that survives sends the next hop
+            if sender.alive and not sender.unconstrained:  # the frame leaves even if it drains the sender
+                energy = sender.energy - tx
+                if energy > 0.0:
+                    sender.energy = energy
+                else:
+                    sender.energy = 0.0
+                    sender.alive = False
+                    self._void_routes()
+            receiver = motes[b]
+            if not receiver.alive:
                 return False
+            if not receiver.unconstrained:
+                energy = receiver.energy - rx
+                if energy > 0.0:
+                    receiver.energy = energy
+                else:
+                    receiver.energy = 0.0
+                    receiver.alive = False
+                    self._void_routes()
+                    return False
+            sender = receiver
         return True
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""
-        motes, adjacency, next_hop = self.motes, self.adjacency, self._next_hop
+        motes, adjacency, next_hop, costs = self.motes, self.adjacency, self._next_hop, self.sc.costs
+        tx, rx = costs.tx, costs.rx
         current = src
         for _ in range(self.sc.motes):
             mote = motes[current]
             if not mote.alive:
                 return False
             hop = next_hop.get(current)
-            if hop is None:  # in _serve trust holds still, and _hop clears the table when the live graph changes
+            if hop is None:  # in _serve trust holds still, and a death clears the table when the live graph changes
                 candidates = [b for b in adjacency[current] if motes[b].alive]
                 hop = next_hop[current] = select_peer(mote, candidates) if candidates else -1
             if hop < 0:
                 return False
             current = hop
-            if not self._hop(mote, motes[current]):
+            if not mote.unconstrained:  # the frame leaves even if it drains the holder
+                energy = mote.energy - tx
+                if energy > 0.0:
+                    mote.energy = energy
+                else:
+                    mote.energy = 0.0
+                    mote.alive = False
+                    self._void_routes()
+            receiver = motes[current]
+            if not receiver.alive:
                 return False
+            if not receiver.unconstrained:
+                energy = receiver.energy - rx
+                if energy > 0.0:
+                    receiver.energy = energy
+                else:
+                    receiver.energy = 0.0
+                    receiver.alive = False
+                    self._void_routes()
+                    return False
             if current == dst:
                 return True
         return False
@@ -865,10 +944,7 @@ class _Simulation:
         charge_energy(host, "compute", sc.costs)
         if not host.alive:
             return None
-        live = len(self._alive_motes())
         self._flood(provider)  # push the aggregate and next period out
-        if len(self._alive_motes()) < live:  # _hop never sees a flood's deaths
-            self._void_routes()
         stats["floods"] += 1
         return theta_next
 

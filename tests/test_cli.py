@@ -169,3 +169,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "final_system_trustworthiness" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["validate", "run", "complexity"])
+    def test_unwritable_stdout_is_io_error(self, command, scenario_file, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        argv = {
+            "validate": ["validate", str(scenario_file)],
+            "run": ["run", str(scenario_file), "--out", str(tmp_path / "out")],
+            "complexity": ["complexity", "10"],
+        }[command]
+        with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+            proc = subprocess.run(
+                [sys.executable, "-m", "motetrust", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+            )
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith("cannot write output: ")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -5,9 +5,12 @@ low enough that motes die mid-run, and scripted kills. Whatever the
 scenario, a run keeps energy within [0, capacity], never revives the dead,
 never delivers more than it sent, floods once per announcement and once
 per served aggregate, and repeats itself exactly. It also gives the same
-trace as a simulation that keeps no liveness cache.
+trace as a simulation that keeps no liveness cache and bills every charge
+through ``charge_energy``, and each radio walk leaves every mote as that
+simulation's walk does.
 """
 
+import random
 from collections import deque
 from unittest import mock
 
@@ -16,7 +19,17 @@ from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 
 from motetrust import simnet
-from motetrust.simnet import ARCHITECTURES, TOPOLOGIES, Engine, LinkTruth, Scenario, _Simulation, charge_energy, run
+from motetrust.simnet import (
+    ARCHITECTURES,
+    TOPOLOGIES,
+    EnergyCosts,
+    Engine,
+    LinkTruth,
+    Scenario,
+    _Simulation,
+    charge_energy,
+    run,
+)
 
 CAPACITY = 3.0
 
@@ -180,13 +193,89 @@ FLOOD_KILLS_A_RELAY = Scenario(
 )
 
 
+# every battery holds one rx: the sink's first poll leaves mote 1 at exactly 0.0 J, which is death, so it never replies
+EXACT_ZERO = Scenario(
+    motes=5,
+    intervals=2,
+    architecture="sink",
+    engine=Engine.BETA,
+    capacity=CAPACITY,
+    init_energy=0.01,
+    harvest_rate=0.0,
+)
+
+# the sink's aggregate flood reuses its reach after the first interval, queries reuse the upload paths that end
+# at it, and answers leave it along the host tree; a run never makes the sink a relay, so the test below does
+SINK_REUSES_ITS_ROUTES = Scenario(
+    motes=9,
+    intervals=3,
+    topology="grid",
+    seed=4,
+    architecture="sink",
+    engine=Engine.BAYES,
+    capacity=CAPACITY,
+    init_energy=CAPACITY,
+    harvest_rate=0.0,
+)
+
+
 @settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 @example(FLOOD_KILLS_A_RELAY)
+@example(EXACT_ZERO)
+@example(SINK_REUSES_ITS_ROUTES)
 def test_the_caches_change_no_trace(scenario):
     with mock.patch.object(simnet, "_Simulation", _Walking):
         walked = run(scenario)
     assert run(scenario) == walked
+
+
+# binary fractions: every debit is exact, so batteries land on exactly 0.0 J at whichever charge drains them
+EXACT_COSTS = EnergyCosts(tx=0.25, rx=0.125, compute=0.0625)
+
+
+def radio_script(rng, sim):
+    """Random floods, uploads, answers, greedy routes and monitor rounds around one host, as (method, args)."""
+    n = sim.sc.motes
+    host = sim._host = rng.randrange(n)
+    for _ in range(30):
+        op, a = rng.choice(("_flood", "_flood", "upload", "answer", "_route_greedy", "_monitor")), rng.randrange(n)
+        if a == host and op != "_flood":
+            continue  # the host sends itself nothing
+        if op == "upload":
+            yield "_unicast", (a, host)
+        elif op == "answer":
+            yield "_unicast", (host, a)
+        elif op == "_route_greedy":
+            yield op, (a, host)
+        elif op == "_monitor":
+            yield op, (60.0,)
+        else:
+            yield op, (a,)
+
+
+@pytest.mark.parametrize("topology", ["ring", "grid"])
+def test_each_walk_bills_as_charge_energy(topology):
+    # the sink relays floods, uploads, answers and greedy routes here, which no run makes it do, and the
+    # batteries drain to exactly 0.0 J at every kind of charge; each call must leave every mote, and return,
+    # what the walking oracle's charge_energy calls do
+    for seed in range(60):
+        rng = random.Random(seed)
+        scenario = Scenario(
+            motes=7, topology=topology, architecture="sink", engine=Engine.QAD, costs=EXACT_COSTS,
+            capacity=4.0, init_energy=4.0, harvest_rate=0.0, default_link=LinkTruth(noise_scale=0.5), seed=seed,
+        )
+        fast, slow = _Simulation(scenario), _Walking(scenario)
+        for addr in range(1, scenario.motes):
+            fast.motes[addr].energy = slow.motes[addr].energy = rng.randrange(1, 17) * 0.125
+        for method, args in radio_script(rng, fast):
+            got, want = getattr(fast, method)(*args), getattr(slow, method)(*args)
+            if method == "_flood":
+                got, want = set(got), set(want)
+            elif method == "_monitor":
+                fast._next_hop.clear()  # trust moved, as it has by each _serve
+            state = [(m.energy, m.alive) for m in fast.motes.values()]
+            assert (got, state) == (want, [(m.energy, m.alive) for m in slow.motes.values()]), (seed, method, args)
 
 
 class _Probe(_Simulation):
@@ -196,6 +285,7 @@ class _Probe(_Simulation):
     def __init__(self, scenario):
         super().__init__(scenario)
         self.phase = None
+        self.live = scenario.motes
         self.seen: set[str] = set()
 
     def _aggregate(self, *args):
@@ -207,20 +297,21 @@ class _Probe(_Simulation):
 
     def _serve(self, provider, stats):
         self.phase = "serve"
+        self.live = sum(m.alive for m in self.motes.values())
         try:
             return super()._serve(provider, stats)
         finally:
             self.phase = None
 
-    def _hop(self, sender, receiver):
-        hops, tree, both_alive = bool(self._next_hop), self._host_tree, sender.alive and receiver.alive
-        result = super()._hop(sender, receiver)
-        if self.phase == "serve" and both_alive and not (sender.alive and receiver.alive):
-            if hops:
+    def _void_routes(self):
+        live = sum(m.alive for m in self.motes.values())
+        if self.phase == "serve" and live < self.live:  # a death in a query, an answer or a greedy route
+            if self._next_hop:
                 self.seen.add("next hops voided")
-            if tree:
+            if self._host_tree:
                 self.seen.add("host tree voided")
-        return result
+        self.live = live
+        super()._void_routes()
 
     def _flood(self, origin):
         stored = self._reach[origin] if self.motes[origin].alive else None
