@@ -7,14 +7,8 @@ deterministic simulator with a scenario-file CLI around them.
 """
 
 from .beliefs import (
-    BeliefMass,
     EvidenceCounts,
-    Frame,
-    Opinion,
-    VACUOUS_OPINION,
-    bayes_posterior,
     bayes_posterior2,
-    consensus,
 )
 from .qad import (
     Assessment,
@@ -58,15 +52,11 @@ from .simnet import (
 )
 from .scenario import load_scenario, parse_scenario
 from .trustworthiness import (
-    Band,
     BehaviorCounts,
     Outcome,
     TrustRecord,
     TrustworthinessParams,
-    classify_confidence,
-    classify_trustworthiness,
     confidence,
-    system_trustworthiness,
     trust_stddev,
     trust_value,
     trustworthiness,

@@ -70,9 +70,6 @@ class AddressedMatrix:
         except KeyError:
             raise IndexError(f"address {addr} is not covered by this matrix") from None
 
-    def covers(self, addr: int) -> bool:
-        return addr in self._index
-
     def get(self, src: int, dst: int) -> int | None:
         return self.matrix.entry(self.index_of(src), self.index_of(dst))
 
@@ -83,9 +80,6 @@ class AddressedMatrix:
         """Defined assessments of row ``src`` keyed by subject address."""
         i = self.index_of(src)
         return {a: v for a, v in zip(self.addresses, self.matrix.row(i)) if v is not None}
-
-    def copy(self) -> "AddressedMatrix":
-        return AddressedMatrix(self.addresses, self.matrix.copy())
 
 
 @dataclass

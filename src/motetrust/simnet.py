@@ -745,17 +745,15 @@ class _Simulation:
             else:
                 sender.energy = 0.0
                 sender.alive = False
-        if receiver.alive:
-            if not receiver.unconstrained:
-                energy = receiver.energy - costs.rx
-                if energy > 0.0:
-                    receiver.energy = energy
-                else:
-                    receiver.energy = 0.0
-                    receiver.alive = False
-            if receiver.alive and sender.alive:
-                return True
-        self._void_routes()  # a death changes the live graph the routes were chosen on
+                self._void_routes()  # a death changes the live graph the routes were chosen on
+        if receiver.alive and not receiver.unconstrained:  # a poll of the already dead changes no route
+            energy = receiver.energy - costs.rx
+            if energy > 0.0:
+                receiver.energy = energy
+            else:
+                receiver.energy = 0.0
+                receiver.alive = False
+                self._void_routes()
         return receiver.alive
 
     def _unicast(self, src: int, dst: int) -> bool:

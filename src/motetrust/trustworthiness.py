@@ -18,8 +18,6 @@ per-axis scales that decide how much each dimension matters:
     T = 1 - sqrt((t-1)^2/x^2 + (c-1)^2/y^2) / sqrt(1/x^2 + 1/y^2)
 
 The default scales (x = sqrt(2), y = 3) make trust the dominant axis.
-Both confidence and trustworthiness fall into the same four bands:
-[0, 0.2) none, [0.2, 0.5) low, [0.5, 0.8) good, [0.8, 1] high.
 """
 
 from __future__ import annotations
@@ -28,17 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
-#: Lower band edges shared by confidence and trustworthiness classification.
-BAND_EDGES = (0.2, 0.5, 0.8)
-
-
-class Band(Enum):
-    NONE = "none"
-    LOW = "low"
-    GOOD = "good"
-    HIGH = "high"
 
 
 class Outcome(Enum):
@@ -104,28 +91,6 @@ def trustworthiness(trust: float, conf: float, params: TrustworthinessParams = D
     return 1.0 - distance / worst
 
 
-def _classify(value: float, kind: str) -> Band:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{kind} {value} outside [0, 1]")
-    if value < BAND_EDGES[0]:
-        return Band.NONE
-    if value < BAND_EDGES[1]:
-        return Band.LOW
-    if value < BAND_EDGES[2]:
-        return Band.GOOD
-    return Band.HIGH
-
-
-def classify_confidence(value: float) -> Band:
-    """Band of a confidence value; edges are lower-inclusive, 1.0 is HIGH."""
-    return _classify(value, "confidence")
-
-
-def classify_trustworthiness(value: float) -> Band:
-    """Band of a trustworthiness value; same edges as confidence."""
-    return _classify(value, "trustworthiness")
-
-
 def update_counts(counts: BehaviorCounts, outcome: Outcome) -> BehaviorCounts:
     """New tallies with one more observation of ``outcome``."""
     if outcome is Outcome.NORMAL:
@@ -152,11 +117,3 @@ class TrustRecord:
         t = trust_value(counts)
         c = confidence(counts)
         return cls(t, trust_stddev(counts), c, trustworthiness(t, c, params))
-
-
-def system_trustworthiness(records: Iterable[TrustRecord]) -> float:
-    """Unweighted mean of the combined scores; empty input is an error."""
-    values = [r.combined for r in records]
-    if not values:
-        raise ValueError("system trustworthiness needs at least one record")
-    return math.fsum(values) / len(values)

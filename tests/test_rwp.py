@@ -286,13 +286,6 @@ class TestAddressedMatrix:
         m = AddressedMatrix([3, 1])
         with pytest.raises(IndexError):
             m.get(4, 1)
-        assert m.covers(1) and not m.covers(4)
-
-    def test_copy_is_deep(self):
-        m = AddressedMatrix([3, 1])
-        c = m.copy()
-        c.set(3, 1, 0)
-        assert m.get(3, 1) is None
 
     def test_duplicate_addresses_rejected(self):
         with pytest.raises(ValueError):

@@ -406,6 +406,31 @@ class TestHostRoutes:
             a: (m.energy, m.alive) for a, m in fresh.motes.items()
         }
 
+    @staticmethod
+    def routed():
+        # on the ring 0-1-2-3 with host 0, mote 2 keeps its upload path and its greedy next hop
+        sim = _Simulation(plentiful(motes=4))
+        sim._host = 0
+        assert sim._unicast(2, 0) and sim._route_greedy(2, 0)
+        assert 2 in sim._to_host and 2 in sim._next_hop
+        return sim
+
+    def test_a_poll_of_the_already_dead_keeps_the_routes(self):
+        sim = self.routed()
+        sim.motes[3].alive = False
+        sim.motes[3].energy = 0.0
+        routes = (dict(sim._to_host), dict(sim._next_hop))
+        assert not sim._hop(sim.motes[2], sim.motes[3])
+        assert (sim._to_host, sim._next_hop) == routes
+
+    @pytest.mark.parametrize("drained", [2, 3])
+    def test_a_poll_that_drains_a_mote_voids_the_routes(self, drained):
+        sim = self.routed()
+        sim.motes[drained].energy = 0.005  # less than one rx, and so than one tx
+        sim._hop(sim.motes[2], sim.motes[3])
+        assert not sim.motes[drained].alive
+        assert sim._to_host == {} and sim._next_hop == {}
+
 
 class TestRun:
     def test_single_mote_society(self):

@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motetrust.trustworthiness import (
-    Band,
     BehaviorCounts,
     Outcome,
     TrustRecord,
     TrustworthinessParams,
-    classify_confidence,
-    classify_trustworthiness,
     confidence,
-    system_trustworthiness,
     trust_stddev,
     trust_value,
     trustworthiness,
@@ -148,29 +144,6 @@ class TestTrustworthiness:
             assert dt > dc > 0
 
 
-class TestBands:
-    @pytest.mark.parametrize(
-        "value,band",
-        [
-            (0.0, Band.NONE),
-            (0.19, Band.NONE),
-            (0.2, Band.LOW),
-            (0.49, Band.LOW),
-            (0.5, Band.GOOD),
-            (0.79, Band.GOOD),
-            (0.8, Band.HIGH),
-            (1.0, Band.HIGH),
-        ],
-    )
-    def test_edges(self, value, band):
-        assert classify_trustworthiness(value) is band
-        assert classify_confidence(value) is band
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_trustworthiness(1.01)
-
-
 class TestTrustRecord:
     def test_from_counts_is_coherent(self):
         c = BehaviorCounts(9, 1)
@@ -197,14 +170,3 @@ class TestTrustRecord:
 
     def test_record_cache_is_bounded(self):
         assert 0 < TrustRecord.from_counts.cache_info().maxsize < math.inf
-
-
-class TestSystemTrustworthiness:
-    def test_mean_of_members(self):
-        records = [TrustRecord.from_counts(BehaviorCounts(a, b)) for a, b in [(9, 1), (1, 9), (5, 5)]]
-        expected = sum(r.combined for r in records) / 3
-        assert system_trustworthiness(records) == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            system_trustworthiness([])
