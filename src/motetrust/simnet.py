@@ -17,10 +17,11 @@ intervals. ``_Simulation.run_interval`` runs one phase method after another:
   host, and greedily trust-routes one application message to it.
 
 Every action costs energy. ``charge_energy`` bills the compute charges; the
-loops that walk the radio graph (``_hop``'s polls, ``_flood``, ``_unicast``
-and ``_route_greedy``) debit tx and rx in place with its arithmetic, so each
-mote pays the same sequence of charges. A mote that hits zero is dead for
-good and neither sends nor receives.
+loops that walk the radio graph (``_send``, which carries polls and unicasts,
+``_flood`` and ``_route_greedy``) debit tx and rx in place with its
+arithmetic, so each mote pays the same sequence of charges. A mote that hits
+zero is dead for good and neither sends nor receives; ``_die`` is where a
+radio debit kills it.
 All randomness flows from named substreams of the scenario seed and every
 within-interval sweep runs in ascending address order, so a scenario
 reproduces the same trace byte for byte.
@@ -40,13 +41,13 @@ that, and a death is the one thing that voids any of them:
   host, which sets the same parents as a search that stops at the asker.
 
 The upload paths and the tree start afresh in each ``_aggregate``. Every
-death in a poll, a flood, a unicast or a greedy route voids them and the
-next hops at once; the flood reach checks its members itself. Either way,
-each mote pays exactly what a fresh computation would have billed it. The
-engines share what they derive: equal counts give one frozen
-``TrustRecord`` and one Bayes posterior float, and a qad mote hands out a
-peer's last ``PairRecord`` again while its assessment holds, so a trace
-stores each distinct figure once.
+death in a poll, a flood, a unicast or a greedy route goes through ``_die``,
+which voids them and the next hops at once; the flood reach checks its
+members itself. Either way, each mote pays exactly what a fresh
+computation would have billed it. The engines share what they derive: equal
+counts give one frozen ``TrustRecord`` and one Bayes posterior float, and a
+qad mote hands out a peer's last ``PairRecord`` again while its assessment
+holds, so a trace stores each distinct figure once.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from . import rwp as rwp_proto
 from .beliefs import EvidenceCounts, bayes_posterior2
@@ -218,8 +219,9 @@ class Scenario:
 
         ``lines`` maps what a check looks at to the line that set it: a field's name, an
         override's edge ``(a, b)``, ``("event", i)`` for ``link_events[i]`` or ``("kill", at,
-        mote)``. An error names the line of its subject if ``lines`` has one; checks that weigh
-        several fields against each other name none.
+        mote)``. An error names the line of its subject if ``lines`` has one. A bad radius names
+        its own line, as only a radius the file sets can fail; the other checks that weigh several
+        fields against each other name none.
         """
         line_of = (lines or {}).get
         for name, (label, holds, must) in _FIELD_RULES.items():
@@ -227,7 +229,7 @@ class Scenario:
             if not holds(value):
                 raise ScenarioError(f"{label} must be {must}, got {value!r}", line_of(name))
         if self.topology == "geometric" and self.radius <= 0.0:
-            raise ScenarioError("geometric topology needs radius > 0")
+            raise ScenarioError("geometric topology needs radius > 0", line_of("radius"))
         if not 0.0 < self.theta_min <= self.theta_base <= self.theta_max:
             raise ScenarioError("need 0 < theta_min_s <= theta_base_s <= theta_max_s")
         if not 0.0 <= self.init_energy <= self.capacity:
@@ -640,9 +642,6 @@ class _Simulation:
     def _alive(self, addr: int) -> bool:
         return self.motes[addr].alive
 
-    def _alive_motes(self) -> list[MoteState]:
-        return [self.motes[a] for a in self.society if self.motes[a].alive]
-
     def _flood(self, origin: int) -> tuple[int, ...]:
         """Duplicate-suppressed broadcast; returns the motes that processed it, in the order they sent."""
         motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
@@ -666,9 +665,7 @@ class _Simulation:
                     if energy > 0.0:
                         mote.energy = energy
                     else:
-                        mote.energy = 0.0
-                        mote.alive = False
-                        self._void_routes()
+                        self._die(mote)
                 return reach
         processed = {origin}
         # breadth first: a mote pays one rx when first reached and one tx when its turn comes, and
@@ -681,9 +678,7 @@ class _Simulation:
                 if energy > 0.0:
                     sender.energy = energy
                 else:
-                    sender.energy = 0.0
-                    sender.alive = False
-                    self._void_routes()
+                    self._die(sender)
             for b in adjacency[a]:
                 if b in processed:
                     continue  # duplicates are discarded without processing
@@ -695,9 +690,7 @@ class _Simulation:
                     if energy > 0.0:
                         peer.energy = energy
                     else:
-                        peer.energy = 0.0
-                        peer.alive = False
-                        self._void_routes()
+                        self._die(peer)
                         continue
                 processed.add(b)
                 senders.append(b)
@@ -735,26 +728,40 @@ class _Simulation:
         self._to_host.clear()
         self._host_tree = None
 
-    def _hop(self, sender: MoteState, receiver: MoteState) -> bool:
-        """One poll hop: tx to the sender, rx to a live receiver; True if the receiver survives it."""
-        costs = self.sc.costs
-        if sender.alive and not sender.unconstrained:  # the frame leaves even if it drains the sender
-            energy = sender.energy - costs.tx
-            if energy > 0.0:
-                sender.energy = energy
-            else:
-                sender.energy = 0.0
-                sender.alive = False
-                self._void_routes()  # a death changes the live graph the routes were chosen on
-        if receiver.alive and not receiver.unconstrained:  # a poll of the already dead changes no route
-            energy = receiver.energy - costs.rx
-            if energy > 0.0:
-                receiver.energy = energy
-            else:
-                receiver.energy = 0.0
-                receiver.alive = False
-                self._void_routes()
-        return receiver.alive
+    def _die(self, mote: MoteState) -> None:
+        """A radio debit drained ``mote``: it floors at zero, and the live graph the routes were chosen on changes."""
+        mote.energy = 0.0
+        mote.alive = False
+        self._void_routes()
+
+    def _send(self, path: Sequence[int]) -> bool:
+        """Carry one frame along ``path``, sender first; False when it breaks.
+
+        Each hop bills tx to a live sender, which sends even if that drains it, and rx to a live receiver. The
+        frame breaks at a receiver that is dead or dies of its rx; a poll is the path (mote, peer, mote).
+        """
+        motes, costs = self.motes, self.sc.costs
+        tx, rx = costs.tx, costs.rx
+        sender = motes[path[0]]
+        for b in path[1:]:  # each receiver that survives sends the next hop
+            if sender.alive and not sender.unconstrained:
+                energy = sender.energy - tx
+                if energy > 0.0:
+                    sender.energy = energy
+                else:
+                    self._die(sender)
+            receiver = motes[b]
+            if not receiver.alive:
+                return False
+            if not receiver.unconstrained:
+                energy = receiver.energy - rx
+                if energy > 0.0:
+                    receiver.energy = energy
+                else:
+                    self._die(receiver)
+                    return False
+            sender = receiver
+        return True
 
     def _unicast(self, src: int, dst: int) -> bool:
         """Hop-by-hop delivery along the shortest live path; False when it breaks.
@@ -764,43 +771,15 @@ class _Simulation:
         parents by then. A mote's path to the host is kept from its upload for its query. Until a
         death voids them, both are the paths a fresh search would find.
         """
-        motes = self.motes
         if src == self._host:
             if self._host_tree is None:
-                self._host_tree = self._bfs(src) if motes[src].alive else {}
+                self._host_tree = self._bfs(src) if self.motes[src].alive else {}
             path = _path(self._host_tree, dst)
         else:
             path = self._to_host.get(src)
             if path is None:  # every address is below 256; b"" when there is no path
                 path = self._to_host[src] = bytes(self._shortest_path(src, dst) or ())
-        if not path:
-            return False
-        costs = self.sc.costs
-        tx, rx = costs.tx, costs.rx
-        sender = motes[path[0]]
-        for b in path[1:]:  # each receiver that survives sends the next hop
-            if sender.alive and not sender.unconstrained:  # the frame leaves even if it drains the sender
-                energy = sender.energy - tx
-                if energy > 0.0:
-                    sender.energy = energy
-                else:
-                    sender.energy = 0.0
-                    sender.alive = False
-                    self._void_routes()
-            receiver = motes[b]
-            if not receiver.alive:
-                return False
-            if not receiver.unconstrained:
-                energy = receiver.energy - rx
-                if energy > 0.0:
-                    receiver.energy = energy
-                else:
-                    receiver.energy = 0.0
-                    receiver.alive = False
-                    self._void_routes()
-                    return False
-            sender = receiver
-        return True
+        return bool(path) and self._send(path)
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""
@@ -823,9 +802,7 @@ class _Simulation:
                 if energy > 0.0:
                     mote.energy = energy
                 else:
-                    mote.energy = 0.0
-                    mote.alive = False
-                    self._void_routes()
+                    self._die(mote)
             receiver = motes[current]
             if not receiver.alive:
                 return False
@@ -834,9 +811,7 @@ class _Simulation:
                 if energy > 0.0:
                     receiver.energy = energy
                 else:
-                    receiver.energy = 0.0
-                    receiver.alive = False
-                    self._void_routes()
+                    self._die(receiver)
                     return False
             if current == dst:
                 return True
@@ -869,15 +844,14 @@ class _Simulation:
     def _monitor(self, theta: float) -> tuple[dict[int, int], dict[int, int]]:
         """Poll every neighbor and feed each scored link to the engine; returns the PCP and RoC maps."""
         sc = self.sc
-        polling = self._alive_motes()
+        polling = [m for m in self.motes.values() if m.alive]
         row_snapshots = {m.addr: m.a_minor.row(m.addr) for m in polling}
         prev_minors = {m.addr: m.a_minor.matrix.copy() for m in polling}
         for mote in polling:
             for b in self.adjacency[mote.addr]:
                 if not mote.alive:
                     break
-                peer = self.motes[b]
-                if self._hop(mote, peer) and self._hop(peer, mote):  # request, then reply with safety data and row
+                if self._send((mote.addr, b, mote.addr)):  # request, then reply with safety data and row
                     analyze(mote, b, observe_link(self._truth(mote.addr, b), self.noise_rng), sc)
                     charge_energy(mote, "compute", sc.costs)
                     self._merge_row(mote, b, row_snapshots.get(b, {}))
@@ -985,7 +959,7 @@ class _Simulation:
             provider, theta_next = None, theta
         selections = self._serve(provider, stats)
 
-        for mote in self._alive_motes():
+        for mote in self.motes.values():  # harvest passes over the dead
             mote.harvest(theta)
         mote_records = tuple(
             MoteIntervalRecord(

@@ -97,7 +97,7 @@ def test_the_strategy_drains_batteries():
 
 class _Walking(_Simulation):
     """The simulation without its liveness caches: every greedy hop selects, every flood walks and every
-    unicast searches afresh."""
+    unicast searches afresh, and every poll, unicast and greedy hop bills through charge_energy."""
 
     def _flood(self, origin):
         motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
@@ -119,12 +119,13 @@ class _Walking(_Simulation):
                     senders.append(b)
         return processed
 
-    def _hop(self, sender, receiver):
-        costs = self.sc.costs
-        charge_energy(sender, "tx", costs)
-        if receiver.alive:
-            charge_energy(receiver, "rx", costs)
-        return receiver.alive
+    def _send(self, path):
+        motes, costs = self.motes, self.sc.costs
+        for sender, receiver in zip(path, path[1:]):
+            charge_energy(motes[sender], "tx", costs)
+            if not charge_energy(motes[receiver], "rx", costs).alive:  # the dead are never billed
+                return False
+        return True
 
     def _shortest_path(self, src, dst):
         if src == dst:
@@ -151,12 +152,7 @@ class _Walking(_Simulation):
 
     def _unicast(self, src, dst):
         path = self._shortest_path(src, dst)
-        if path is None:
-            return False
-        for sender, receiver in zip(path, path[1:]):
-            if not self._hop(self.motes[sender], self.motes[receiver]):
-                return False
-        return True
+        return path is not None and self._send(path)
 
     def _route_greedy(self, src, dst):
         motes, adjacency = self.motes, self.adjacency
@@ -169,7 +165,7 @@ class _Walking(_Simulation):
             if not candidates:
                 return False
             current = simnet.select_peer(mote, candidates)
-            if not self._hop(mote, motes[current]):
+            if not self._send((mote.addr, current)):
                 return False
             if current == dst:
                 return True

@@ -249,10 +249,14 @@ class TestErrors:
         msg = error_of(text)
         assert msg.startswith("line 6:") and "link 0-2 does not exist in the ring topology" in msg
 
-    def test_cross_field_errors_carry_no_line(self):
+    def test_a_bad_radius_names_its_line(self):
         # the radius check outranks the override that it would otherwise leave without an edge
         msg = error_of("[network]\nmotes = 4\ntopology = geometric\nradius = 0\n[links]\n0-1.uptime = 0.5\n")
-        assert msg == "geometric topology needs radius > 0"
+        assert msg == "line 4: geometric topology needs radius > 0"
+
+    def test_cross_field_errors_carry_no_line(self):
+        msg = error_of("[network]\nmotes = 4\n[rwp]\ntheta_min_s = 50\ntheta_max_s = 5\n")
+        assert msg == "need 0 < theta_min_s <= theta_base_s <= theta_max_s"
 
     def test_event_in_the_last_interval_accepted(self):
         s = parse_scenario("[network]\nmotes = 4\nintervals = 2\n[events]\nat=1 mote=1 action=kill\n")

@@ -420,14 +420,14 @@ class TestHostRoutes:
         sim.motes[3].alive = False
         sim.motes[3].energy = 0.0
         routes = (dict(sim._to_host), dict(sim._next_hop))
-        assert not sim._hop(sim.motes[2], sim.motes[3])
+        assert not sim._send((2, 3, 2))  # mote 2 polls mote 3
         assert (sim._to_host, sim._next_hop) == routes
 
     @pytest.mark.parametrize("drained", [2, 3])
     def test_a_poll_that_drains_a_mote_voids_the_routes(self, drained):
         sim = self.routed()
         sim.motes[drained].energy = 0.005  # less than one rx, and so than one tx
-        sim._hop(sim.motes[2], sim.motes[3])
+        assert not sim._send((2, 3, 2))
         assert not sim.motes[drained].alive
         assert sim._to_host == {} and sim._next_hop == {}
 
