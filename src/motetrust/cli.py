@@ -49,12 +49,18 @@ def motes_csv(trace: SimulationTrace) -> str:
 
 def pairs_csv(trace: SimulationTrace) -> str:
     lines = [PAIRS_HEADER]
+    # records share their figures' float objects, so each distinct four is formatted once; keyed on identity,
+    # not value, since -0.0 == 0.0 prints otherwise, and the trace keeps every figure alive, so ids stay unique
+    figures: dict[tuple[int, int, int, int], str] = {}
     for rec in trace.records:
         for p in rec.pairs:
-            lines.append(
-                f"{rec.index},{p.src},{p.dst},{p.metric:.6f},"
-                f"{_opt_num(p.trust)},{_opt_num(p.confidence)},{_opt_num(p.combined)}"
-            )
+            key = (id(p.metric), id(p.trust), id(p.confidence), id(p.combined))
+            text = figures.get(key)
+            if text is None:
+                text = figures[key] = (
+                    f"{p.metric:.6f},{_opt_num(p.trust)},{_opt_num(p.confidence)},{_opt_num(p.combined)}"
+                )
+            lines.append(f"{rec.index},{p.src},{p.dst},{text}")
     return "\n".join(lines) + "\n"
 
 

@@ -48,6 +48,10 @@ computation would have billed it. The engines share what they derive: equal
 counts give one frozen ``TrustRecord`` and one Bayes posterior float, and a
 qad mote hands out a peer's last ``PairRecord`` again while its assessment
 holds, so a trace stores each distinct figure once.
+
+After the last interval nothing moves trust, so the final trust mean reads the
+live motes' pairs from the last record and derives only the dead motes' pairs
+again.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ TOPOLOGIES = ("ring", "grid", "geometric")
 ARCHITECTURES = ("p2p", "sink")
 SINK_ADDRESS = 0
 _MAX_MOTES = rwp_proto.MAX_SOCIETY_SIZE
+_MAX_INTERVALS = 10_000  # a trace keeps every interval in memory
 
 
 class Engine(Enum):
@@ -172,7 +177,11 @@ class LinkEvent:
 #: Scenario fields checked on their own: name -> (its scenario-file key, test, what the value must be).
 _FIELD_RULES = {
     "motes": ("motes", lambda v: isinstance(v, int) and 1 <= v <= _MAX_MOTES, f"an integer in [1, {_MAX_MOTES}]"),
-    "intervals": ("intervals", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "intervals": (
+        "intervals",
+        lambda v: isinstance(v, int) and 1 <= v <= _MAX_INTERVALS,
+        f"an integer in [1, {_MAX_INTERVALS}]",
+    ),
     "topology": ("topology", lambda v: v in TOPOLOGIES, f"one of {TOPOLOGIES}"),
     "architecture": ("architecture", lambda v: v in ARCHITECTURES, f"one of {ARCHITECTURES}"),
     "engine": ("engine", lambda v: isinstance(v, Engine), "an Engine"),
@@ -314,7 +323,7 @@ def build_topology(scenario: Scenario) -> dict[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class MoteState:
     """One mote: its battery, its neighborhood assessments, and its trust engine."""
 
@@ -846,8 +855,10 @@ class _Simulation:
         sc = self.sc
         polling = [m for m in self.motes.values() if m.alive]
         row_snapshots = {m.addr: m.a_minor.row(m.addr) for m in polling}
-        prev_minors = {m.addr: m.a_minor.matrix.copy() for m in polling}
+        rocs: dict[int, int] = {}
         for mote in polling:
+            # only a mote's own polls write its minor, so its churn is final once they end
+            before = mote.a_minor.matrix.copy()
             for b in self.adjacency[mote.addr]:
                 if not mote.alive:
                     break
@@ -855,13 +866,15 @@ class _Simulation:
                     analyze(mote, b, observe_link(self._truth(mote.addr, b), self.noise_rng), sc)
                     charge_energy(mote, "compute", sc.costs)
                     self._merge_row(mote, b, row_snapshots.get(b, {}))
+            if mote.alive:
+                rocs[mote.addr] = rate_of_change(before, mote.a_minor.matrix)
 
         pcp_map: dict[int, int] = {}
         roc_map: dict[int, int] = {}
         for mote in polling:
             if not mote.alive:
                 continue
-            roc = rate_of_change(prev_minors[mote.addr], mote.a_minor.matrix)
+            roc = rocs[mote.addr]
             pcp = rwp_proto.compute_pcp(mote.energy, mote.harvest_rate, theta, mote.capacity)
             charge_energy(mote, "compute", sc.costs)
             if mote.alive:
@@ -991,8 +1004,13 @@ class _Simulation:
         self.theta = theta_next
 
     def final_system_trustworthiness(self) -> float | None:
-        """Mean combined trustworthiness over every pair that carries one, dead observers too."""
-        combined = [p.combined for m in self.motes.values() for p in m.trust.pair_records() if p.combined is not None]
+        """Mean combined trustworthiness over every pair that carries one, dead observers too.
+
+        Nothing moves trust after the last interval, so the live motes' pairs are the ones it recorded;
+        only the dead motes' pairs are derived again.
+        """
+        dead = (p for m in self.motes.values() if not m.alive for p in m.trust.pair_records())
+        combined = [p.combined for part in (self.records[-1].pairs, dead) for p in part if p.combined is not None]
         return math.fsum(combined) / len(combined) if combined else None
 
 

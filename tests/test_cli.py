@@ -6,8 +6,10 @@ from motetrust.cli import (
     EXIT_SCENARIO,
     MOTES_HEADER,
     PAIRS_HEADER,
+    pairs_csv,
     run_cli,
 )
+from motetrust.simnet import Engine, IntervalRecord, MessageStats, PairRecord, SimulationTrace
 
 SCENARIO = """
 [network]
@@ -105,10 +107,30 @@ class TestRunCommand:
         assert "cannot write outputs" in capsys.readouterr().err
 
 
+def test_pairs_csv_tells_negative_zero_apart():
+    # -0.0 == 0.0, so a cache of formatted figures keyed on their values would print both rows alike
+    pairs = (PairRecord(0, 1, 0.0, 0.0, 0.0, 0.0), PairRecord(1, 0, -0.0, -0.0, -0.0, -0.0))
+    record = IntervalRecord(0, 60.0, 60.0, None, None, None, True, (), (), pairs, MessageStats())
+    trace = SimulationTrace(1, Engine.BETA, "p2p", (record,), None)
+    assert pairs_csv(trace).splitlines()[1:] == [
+        "0,0,1,0.000000,0.000000,0.000000,0.000000",
+        "0,1,0,-0.000000,-0.000000,-0.000000,-0.000000",
+    ]
+
+
 class TestValidateCommand:
     def test_ok(self, scenario_file, capsys):
         assert run_cli(["validate", str(scenario_file)]) == EXIT_OK
         assert "scenario OK" in capsys.readouterr().out
+
+    def test_intervals_past_the_cap_are_a_scenario_error(self, tmp_path, capsys):
+        # a trace keeps every interval in memory, so a run this long would never end
+        huge = tmp_path / "huge.scn"
+        huge.write_text("[network]\nmotes = 4\nintervals = 99999999999999999999\n", encoding="utf-8")
+        assert run_cli(["validate", str(huge)]) == EXIT_SCENARIO
+        assert capsys.readouterr().err == (
+            "scenario error: line 3: intervals must be an integer in [1, 10000], got 99999999999999999999\n"
+        )
 
     def test_reports_line_numbers(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -10,6 +10,7 @@ through ``charge_energy``, and each radio walk leaves every mote as that
 simulation's walk does.
 """
 
+import math
 import random
 from collections import deque
 from unittest import mock
@@ -83,6 +84,26 @@ def test_run_invariants(scenario):
         assert s.minors_delivered <= s.minors_sent
         assert s.floods == len(rec.announcements) + (rec.active_hacp is not None)  # announcements, then the aggregate
     assert run(scenario) == trace
+
+
+# two of the four beta motes drain in the last interval, so the dead motes' pairs carry other figures than the
+# survivors': counted twice, the survivors' pairs move the mean
+SURVIVORS_OUTWEIGH_THE_DEAD = Scenario(
+    motes=4, intervals=3, topology="grid", seed=0, engine=Engine.BETA, capacity=CAPACITY, init_energy=1.0,
+    harvest_rate=0.001, default_link=LinkTruth(noise_scale=0.0),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+@example(SURVIVORS_OUTWEIGH_THE_DEAD)
+def test_final_mean_counts_every_pair_once(scenario):
+    # the simulator reads the live motes' pairs from the last interval's records; derive them all afresh here
+    sim = _Simulation(scenario)
+    for k in range(scenario.intervals):
+        sim.run_interval(k)
+    combined = [p.combined for m in sim.motes.values() for p in m.trust.pair_records() if p.combined is not None]
+    assert sim.final_system_trustworthiness() == (math.fsum(combined) / len(combined) if combined else None)
 
 
 def test_the_strategy_drains_batteries():

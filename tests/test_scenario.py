@@ -224,7 +224,10 @@ class TestErrors:
 
     def test_zero_intervals_names_its_line(self):
         msg = error_of("[network]\nmotes = 4\nintervals = 0\n")
-        assert msg.startswith("line 3:") and "intervals must be an integer >= 1, got 0" in msg
+        assert msg.startswith("line 3:") and "intervals must be an integer in [1, 10000], got 0" in msg
+
+    def test_intervals_at_the_cap_accepted(self):
+        assert parse_scenario("[network]\nmotes = 4\nintervals = 10000\n").intervals == 10_000
 
     def test_negative_capacity_names_its_line(self):
         msg = error_of("[network]\nmotes = 4\n[energy]\ncapacity_j = -5\n")
