@@ -145,8 +145,6 @@ def apply_operator(
             raise ValueError("assessment hopping needs an rng")
         return rng.choice(SCALE_VALUES)
     column = matrix.column_subvector(j)
-    if not column:  # unreachable when (i, j) is defined; kept for direct callers
-        return current
     total, n1 = sum(column), len(column)
     if op is OperatorChoice.MODERATE_OPTIMISTIC:
         # mean <= current  <=>  total <= current * n1

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -74,6 +75,7 @@ ARCHITECTURES = ("p2p", "sink")
 SINK_ADDRESS = 0
 _MAX_MOTES = rwp_proto.MAX_SOCIETY_SIZE
 _MAX_INTERVALS = 10_000  # a trace keeps every interval in memory
+_MAX_CAPACITY = sys.float_info.max / 10  # compute_pcp scales a projection of up to capacity by ten
 
 
 class Engine(Enum):
@@ -237,6 +239,10 @@ class Scenario:
             value = getattr(self, name)
             if not holds(value):
                 raise ScenarioError(f"{label} must be {must}, got {value!r}", line_of(name))
+        if self.capacity > _MAX_CAPACITY:
+            raise ScenarioError(
+                f"capacity_j must be at most {_MAX_CAPACITY!r}, got {self.capacity!r}", line_of("capacity")
+            )
         if self.topology == "geometric" and self.radius <= 0.0:
             raise ScenarioError("geometric topology needs radius > 0", line_of("radius"))
         if not 0.0 < self.theta_min <= self.theta_base <= self.theta_max:
@@ -495,7 +501,7 @@ class BayesTrust(_CachedTrust):
     """Evidence counts: (trusted, rate at reference, mostly up) recorded as one joint observation."""
 
     def observe(self, peer: int, score: float, obs: SafetyObservation, scenario: Scenario) -> None:
-        self.evidence.setdefault(peer, EvidenceCounts(evidence_arity=2)).record(
+        self.evidence.setdefault(peer, EvidenceCounts()).record(
             score >= scenario.misbehavior_threshold, obs.tx_rate >= scenario.ref_tx_rate, obs.uptime > 0.5
         )
         self._metric.pop(peer, None)

@@ -18,6 +18,8 @@ per-axis scales that decide how much each dimension matters:
     T = 1 - sqrt((t-1)^2/x^2 + (c-1)^2/y^2) / sqrt(1/x^2 + 1/y^2)
 
 The default scales (x = sqrt(2), y = 3) make trust the dominant axis.
+A ``TrustRecord`` holds three figures for one peer: t, c and T. sigma
+is only a step towards c, so no record keeps it; ``trust_stddev`` gives it.
 """
 
 from __future__ import annotations
@@ -102,10 +104,9 @@ def update_counts(counts: BehaviorCounts, outcome: Outcome) -> BehaviorCounts:
 
 @dataclass(frozen=True)
 class TrustRecord:
-    """The four derived figures for one peer."""
+    """The three derived figures for one peer: trust, confidence and their blend."""
 
     trust: float
-    stddev: float
     confidence: float
     combined: float
 
@@ -116,4 +117,4 @@ class TrustRecord:
     ) -> "TrustRecord":
         t = trust_value(counts)
         c = confidence(counts)
-        return cls(t, trust_stddev(counts), c, trustworthiness(t, c, params))
+        return cls(t, c, trustworthiness(t, c, params))

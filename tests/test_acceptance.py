@@ -142,7 +142,7 @@ def test_criterion_04_factored_posterior():
         c_d1_d2 = cells[True, True, True] + cells[False, True, True]
         if not (c_h_d2 and c_d2 and c_d1_d2):
             continue
-        table = EvidenceCounts(evidence_arity=2)
+        table = EvidenceCounts()
         for (h, d1, d2), times in cells.items():
             if times:
                 table.record(h, d1, d2, times=times)

@@ -12,42 +12,35 @@ from motetrust.beliefs import _conditional
 
 
 def table_from(rows):
-    """rows: (hypothesis, d1, count) or (hypothesis, d1, d2, count)."""
-    arity = len(rows[0]) - 2
-    c = EvidenceCounts(evidence_arity=arity)
-    for row in rows:
-        *vals, times = row
-        c.record(vals[0], *vals[1:], times=times)
+    """rows: (hypothesis, d1, d2, count)."""
+    c = EvidenceCounts()
+    for h, d1, d2, times in rows:
+        c.record(h, d1, d2, times=times)
     return c
 
 
 class TestEvidenceCounts:
     def test_record_and_marginals(self):
-        c = table_from([(True, True, 3), (True, False, 1), (False, True, 2)])
-        assert c.total() == 6
+        c = table_from([(True, True, True, 3), (True, False, True, 1), (False, True, False, 2)])
+        assert c.count() == 6
         assert c.count(hypothesis=True) == 4
         assert c.count(d1=True) == 5
         assert c.count(hypothesis=True, d1=True) == 3
+        assert c.count(d2=False) == 2
+        assert c.count(hypothesis=True, d1=True, d2=True) == 3
 
     def test_rejects_non_bool(self):
-        c = EvidenceCounts(evidence_arity=1)
+        c = EvidenceCounts()
         with pytest.raises(ValueError):
-            c.record(1, True)
+            c.record(1, True, True)
         with pytest.raises(ValueError):
-            c.record(True, True, times=-1)
-
-    def test_arity_enforced(self):
-        c = EvidenceCounts(evidence_arity=1)
-        with pytest.raises(ValueError):
-            c.record(True, True, False)
-        with pytest.raises(ValueError):
-            bayes_posterior2(c)
+            c.record(True, True, True, times=-1)
 
 
 class TestBayesPosterior:
     def test_smoothing_off_empty_table_raises(self):
         with pytest.raises(ValueError):
-            bayes_posterior2(EvidenceCounts(evidence_arity=2), smoothing=False)
+            bayes_posterior2(EvidenceCounts(), smoothing=False)
 
     def test_two_evidence_example(self):
         c = table_from([(True, True, True, 8), (False, True, True, 2), (True, False, True, 4)])
@@ -59,7 +52,7 @@ class TestBayesPosterior:
     @example([0, 0, 0, 1, 0, 1, 0, 0])  # valid, with c(H=T, D1=T) = 0
     @settings(max_examples=100)
     def test_matches_factored_form(self, counts):
-        c = EvidenceCounts(evidence_arity=2)
+        c = EvidenceCounts()
         i = 0
         # counts[i] is the cell i = 4*h + 2*d1 + d2
         for h in (False, True):
@@ -68,6 +61,8 @@ class TestBayesPosterior:
                     if counts[i]:
                         c.record(h, d1, d2, times=counts[i])
                     i += 1
+        # the smoothed posterior, checked before the assumptions below filter any table out
+        assert bayes_posterior2(c) == (c.count(True, True, True) + 1) / (c.count(d1=True, d2=True) + 2)
         # the factored form divides by c(H=T, D2=T), c(D2=T) and c(D1=T, D2=T);
         # c(D2=T) >= c(H=T, D2=T), so two checks cover all three
         assume(c.count(hypothesis=True, d2=True) > 0)
@@ -85,7 +80,7 @@ class TestBayesPosterior:
         # counts built as c(h, d1, d2) = a[h][d2] * b[d1][d2]: D1 and H independent given D2
         a = data.draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
         b = data.draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
-        two = EvidenceCounts(evidence_arity=2)
+        two = EvidenceCounts()
         for hi, h in enumerate((False, True)):
             for d2i, d2 in enumerate((False, True)):
                 for d1i, d1 in enumerate((False, True)):
@@ -95,10 +90,10 @@ class TestBayesPosterior:
         assert bayes_posterior2(two, smoothing=False) == pytest.approx(p_h_given_d2, abs=1e-12)
 
     def test_half_prior_when_two_evidence_table_empty(self):
-        assert bayes_posterior2(EvidenceCounts(evidence_arity=2)) == pytest.approx(0.5)
+        assert bayes_posterior2(EvidenceCounts()) == pytest.approx(0.5)
 
     def test_equal_counts_share_one_posterior(self):
-        tables = [EvidenceCounts(evidence_arity=2) for _ in range(2)]
+        tables = [EvidenceCounts() for _ in range(2)]
         for table in tables:
             table.record(True, True, True, times=5)
             table.record(False, True, True, times=2)

@@ -132,6 +132,17 @@ class TestValidateCommand:
             "scenario error: line 3: intervals must be an integer in [1, 10000], got 99999999999999999999\n"
         )
 
+    @pytest.mark.parametrize("rest", ["init_j = 1e308\n", "init_j = 5e307\nharvest_j_per_s = 0\n"])
+    def test_capacity_past_the_cap_is_a_scenario_error(self, tmp_path, capsys, rest):
+        # the host election scales a projected energy of up to capacity by ten, which must stay finite
+        huge = tmp_path / "huge.scn"
+        huge.write_text(f"[network]\nmotes = 4\n[energy]\ncapacity_j = 1e308\n{rest}", encoding="utf-8")
+        for argv in (["validate", str(huge)], ["run", str(huge), "--out", str(tmp_path / "out")]):
+            assert run_cli(argv) == EXIT_SCENARIO
+            assert capsys.readouterr().err == (
+                "scenario error: line 4: capacity_j must be at most 1.7976931348623158e+307, got 1e+308\n"
+            )
+
     def test_reports_line_numbers(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("[network]\nmotes = 4\nvolume = 11\n", encoding="utf-8")
