@@ -27,22 +27,21 @@ within-interval sweep runs in ascending address order, so a scenario
 reproduces the same trace byte for byte.
 
 Because the dead never come back, the live graph holds still from one death
-to the next, and trust holds still throughout ``_serve``. Four caches rest on
-that, and a death is the one thing that voids any of them:
+to the next, and trust holds still throughout ``_serve``. Three caches rest
+on that, and a death is the one thing that voids any of them:
 
 * ``_route_greedy`` keeps each holder's next hop in a table that ``_serve``
   clears;
 * ``_flood`` keeps the senders of each mote's last walk, which stay a live
   component while they all live, and reuses them while every one would also
   survive its rx;
-* ``_unicast`` keeps each mote's upload path to the host, as bytes, for that
-  mote's query;
-* ``_unicast`` reads every answer's path from one BFS tree rooted at the
-  host, which sets the same parents as a search that stops at the asker.
+* ``_unicast`` routes every upload and every answer from one BFS rooted at
+  the host: an answer reads the tree path to the asker, and an upload steps
+  at each mote to its lowest-address neighbor one hop nearer the host.
 
-The upload paths and the tree start afresh in each ``_aggregate``. Every
-death in a poll, a flood, a unicast or a greedy route goes through ``_die``,
-which voids them and the next hops at once; the flood reach checks its
+The host routes start afresh in each ``_aggregate``. Every death in a poll,
+a flood, a unicast or a greedy route goes through ``_die``, which voids them
+and the next hops at once; the flood reach checks its
 members itself. Either way, each mote pays exactly what a fresh
 computation would have billed it. The engines share what they derive: equal
 counts give one frozen ``TrustRecord`` and one Bayes posterior float, and a
@@ -646,8 +645,9 @@ class _Simulation:
         self._next_hop: dict[int, int] = {}  # greedy holder -> next hop, -1 for none; cleared by _serve and deaths
         self._reach: list[tuple[int, ...] | None] = [None] * scenario.motes  # per mote, its last flood's senders
         self._host: int | None = None  # the interval's host, which every unicast starts or ends at
-        self._to_host: dict[int, bytes] = {}  # mote -> its path to the host, kept from its upload for its query
-        self._host_tree: dict[int, int] | None = None  # BFS parents from the host, built at the first answer
+        # per mote, its BFS parent from the host and its next hop toward it, -1 if unreached (the host's own are
+        # never read); built at the first unicast after a void
+        self._host_routes: tuple[list[int], list[int]] | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -740,8 +740,7 @@ class _Simulation:
     def _void_routes(self) -> None:
         """Forget every route chosen on the live graph, which any death changes."""
         self._next_hop.clear()
-        self._to_host.clear()
-        self._host_tree = None
+        self._host_routes = None
 
     def _die(self, mote: MoteState) -> None:
         """A radio debit drained ``mote``: it floors at zero, and the live graph the routes were chosen on changes."""
@@ -781,20 +780,37 @@ class _Simulation:
     def _unicast(self, src: int, dst: int) -> bool:
         """Hop-by-hop delivery along the shortest live path; False when it breaks.
 
-        Every unicast runs between a mote and the host that ``_aggregate`` set. An answer's path
-        comes from one BFS tree rooted at the host: a search that stops at the asker has set the same
-        parents by then. A mote's path to the host is kept from its upload for its query. Until a
-        death voids them, both are the paths a fresh search would find.
+        Every unicast runs between a mote and the host that ``_aggregate`` set, along routes from one BFS
+        rooted at the host. An answer takes the tree path to the asker, which a search that stops at the
+        asker also finds. An upload steps to the lowest-address neighbor one hop nearer the host: that
+        builds the lexicographically smallest shortest path, which a search from the uploader that scans
+        neighbors in ascending order finds. Until a death voids them, these are a fresh search's paths.
         """
-        if src == self._host:
-            if self._host_tree is None:
-                self._host_tree = self._bfs(src) if self.motes[src].alive else {}
-            path = _path(self._host_tree, dst)
-        else:
-            path = self._to_host.get(src)
-            if path is None:  # every address is below 256; b"" when there is no path
-                path = self._to_host[src] = bytes(self._shortest_path(src, dst) or ())
-        return bool(path) and self._send(path)
+        host, routes = self._host, self._host_routes
+        if routes is None:
+            motes, adjacency = self.motes, self.adjacency
+            n = self.sc.motes
+            parent, toward, depth = [-1] * n, [-1] * n, [-1] * n
+            depth[host] = 0
+            queue = [host] if motes[host].alive else []  # a dead host reaches no one
+            for cur in queue:  # grows as the search reaches new motes, one level after the other
+                d = depth[cur] + 1
+                for b in adjacency[cur]:  # ascending: the parents a search from the host sets
+                    if depth[b] < 0:
+                        if motes[b].alive:
+                            depth[b], parent[b], toward[b] = d, cur, cur
+                            queue.append(b)
+                    elif depth[b] == d and cur < toward[b]:
+                        toward[b] = cur
+            routes = self._host_routes = (parent, toward)
+        step, a = (routes[0], dst) if src == host else (routes[1], src)
+        if step[a] < 0:  # unreached; a reached mote's steps are all reached, and end at the host
+            return False
+        path = [a]
+        while a != host:
+            a = step[a]
+            path.append(a)
+        return self._send(path[::-1] if src == host else path)
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""

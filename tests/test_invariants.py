@@ -295,9 +295,52 @@ def test_each_walk_bills_as_charge_energy(topology):
             assert (got, state) == (want, [(m.energy, m.alive) for m in slow.motes.values()]), (seed, method, args)
 
 
+GRID_3X3 = Scenario(motes=9, topology="grid", architecture="sink", engine=Engine.QAD)
+
+
+def unicast_paths(sim, src, dst) -> tuple[bool, list[list[int]]]:
+    """What ``_unicast`` returns and the paths it hands ``_send``, which carries nothing and so kills no one."""
+    sent = []
+    with mock.patch.object(sim, "_send", lambda path: sent.append(list(path)) or True):
+        return sim._unicast(src, dst), sent
+
+
+def test_an_upload_steps_to_the_lowest_nearer_neighbor():
+    # both of mote 8's neighbors, 5 and 7, are one hop nearer host 0, and so are both of 5's nearer ones, 2 and 4
+    sim = _Simulation(GRID_3X3)
+    sim._host = 0
+    assert unicast_paths(sim, 8, 0) == (True, [[8, 5, 2, 1, 0]])
+    assert unicast_paths(sim, 0, 8) == (True, [[0, 1, 2, 5, 8]])
+
+
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.sets(st.integers(0, 9)), st.integers(0, 9))
+@example(GRID_3X3, {4}, 8)
+def test_host_routes_are_the_searched_paths(scenario, dead, host):
+    # one search from the host must route every upload and every answer along the path a search from its
+    # sender finds: ties between shortest paths go to the lexicographically smallest
+    sim = _Simulation(scenario)
+    for addr in dead:
+        if addr < scenario.motes:
+            sim.motes[addr].alive = False
+            sim.motes[addr].energy = 0.0
+    host = sim._host = host % scenario.motes
+    for a in range(scenario.motes):
+        if a == host or not sim.motes[a].alive:
+            continue
+        for src, dst in ((a, host), (host, a)):
+            want = sim._shortest_path(src, dst)
+            assert unicast_paths(sim, src, dst) == ((True, [want]) if want else (False, [])), (src, dst)
+
+
+def reaches_past_the_host(routes) -> bool:
+    """Whether host routes are built and lead some mote to the host, so that a stored path has hops to void."""
+    return routes is not None and any(p >= 0 for p in routes[0])
+
+
 class _Probe(_Simulation):
-    """Notes when a death voids a cache: a stored next hop or host tree in _serve, stored upload paths in
-    the aggregate's flood, or a stored flood reach."""
+    """Notes when a death voids a cache: stored next hops or host routes in _serve, host routes that the
+    uploads built in the aggregate's flood, or a stored flood reach."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -325,14 +368,14 @@ class _Probe(_Simulation):
         if self.phase == "serve" and live < self.live:  # a death in a query, an answer or a greedy route
             if self._next_hop:
                 self.seen.add("next hops voided")
-            if self._host_tree:
+            if reaches_past_the_host(self._host_routes):
                 self.seen.add("host tree voided")
         self.live = live
         super()._void_routes()
 
     def _flood(self, origin):
         stored = self._reach[origin] if self.motes[origin].alive else None
-        paths = self.phase == "aggregate" and any(self._to_host.values())
+        paths = self.phase == "aggregate" and reaches_past_the_host(self._host_routes)
         live = sum(m.alive for m in self.motes.values())
         result = super()._flood(origin)
         if stored is not None and result is not stored:

@@ -385,43 +385,39 @@ class TestFloodReach:
 
 
 class TestHostRoutes:
-    """A path kept from an upload serves its query only while a fresh search would find the same one."""
+    """The routes built from one search from the host serve every unicast only while a fresh search would find
+    the same paths."""
 
     def test_a_flood_death_on_a_stored_upload_path_forces_a_fresh_search(self):
         # on the ring 0-1-2-3, mote 2 uploads to host 0 through relay 1, and the aggregate's flood drains 1
-        cached, fresh = (_Simulation(plentiful(motes=4)) for _ in range(2))
-        assert cached._shortest_path(2, 0) == [2, 1, 0]
-        stats = {}
-        for sim in (cached, fresh):
-            sim.motes[1].energy = 0.055  # the uploads leave it less than the flood's rx
-            stats[sim] = Counter()
-            assert sim._aggregate(0, 0, dict.fromkeys(range(4), 1), stats[sim]) is not None
-            assert not sim.motes[1].alive
-        fresh._to_host.clear()  # forget the stored paths, so every query searches afresh
-        for sim in (cached, fresh):
-            sim._serve(0, stats[sim])
-        assert stats[cached] == stats[fresh]
-        assert stats[cached]["queries_answered"] == 3  # mote 2 asks around the dead relay, through 3
-        assert {a: (m.energy, m.alive) for a, m in cached.motes.items()} == {
-            a: (m.energy, m.alive) for a, m in fresh.motes.items()
-        }
+        sim = _Simulation(plentiful(motes=4))
+        assert sim._shortest_path(2, 0) == [2, 1, 0]
+        sim.motes[1].energy = 0.055  # the uploads leave it less than the flood's rx
+        stats = Counter()
+        assert sim._aggregate(0, 0, dict.fromkeys(range(4), 1), stats) is not None
+        assert not sim.motes[1].alive
+        assert sim._host_routes is None  # the relay's death voided the routes the uploads built
+        sim._serve(0, stats)
+        assert stats["queries_answered"] == 3  # mote 2 asks around the dead relay, through 3
+        parent, toward = sim._host_routes
+        assert (parent[2], toward[2], parent[1], toward[1]) == (3, 3, -1, -1)
 
     @staticmethod
     def routed():
-        # on the ring 0-1-2-3 with host 0, mote 2 keeps its upload path and its greedy next hop
+        # on the ring 0-1-2-3 with host 0, mote 2's upload builds the host routes, and it keeps its greedy next hop
         sim = _Simulation(plentiful(motes=4))
         sim._host = 0
         assert sim._unicast(2, 0) and sim._route_greedy(2, 0)
-        assert 2 in sim._to_host and 2 in sim._next_hop
+        assert sim._host_routes is not None and 2 in sim._next_hop
         return sim
 
     def test_a_poll_of_the_already_dead_keeps_the_routes(self):
         sim = self.routed()
         sim.motes[3].alive = False
         sim.motes[3].energy = 0.0
-        routes = (dict(sim._to_host), dict(sim._next_hop))
+        routes, next_hops = sim._host_routes, dict(sim._next_hop)
         assert not sim._send((2, 3, 2))  # mote 2 polls mote 3
-        assert (sim._to_host, sim._next_hop) == routes
+        assert sim._host_routes is routes and sim._next_hop == next_hops
 
     @pytest.mark.parametrize("drained", [2, 3])
     def test_a_poll_that_drains_a_mote_voids_the_routes(self, drained):
@@ -429,7 +425,7 @@ class TestHostRoutes:
         sim.motes[drained].energy = 0.005  # less than one rx, and so than one tx
         assert not sim._send((2, 3, 2))
         assert not sim.motes[drained].alive
-        assert sim._to_host == {} and sim._next_hop == {}
+        assert sim._host_routes is None and sim._next_hop == {}
 
 
 class TestRun:
