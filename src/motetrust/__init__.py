@@ -21,7 +21,6 @@ from .qad import (
 )
 from .rwp import (
     AddressedMatrix,
-    MajorMatrix,
     QueryResult,
     RwpPhase,
     RwpState,

@@ -108,18 +108,6 @@ class RwpState:
             self.backup_hacp = None
 
 
-@dataclass
-class MajorMatrix:
-    """Society-wide aggregate for one interval."""
-
-    a_major: AssessmentMatrix
-    interval_index: int
-
-    def __post_init__(self) -> None:
-        if self.interval_index < 0:
-            raise ValueError("interval index must be non-negative")
-
-
 @dataclass(frozen=True)
 class QueryResult:
     """What the host knows about one subject: its column, and how much of it exists."""
@@ -182,10 +170,9 @@ def next_interval(roc_values: Sequence[int], theta_base: float, theta_min: float
 def aggregate_major(
     minors: Sequence[tuple[int, AddressedMatrix, OperatorChoice]],
     society: Sequence[int],
-    interval_index: int = 0,
     rng: random.Random | None = None,
-) -> MajorMatrix:
-    """Stack uploaded neighborhood matrices into one society matrix and revise it once.
+) -> AssessmentMatrix:
+    """Stack uploaded neighborhood matrices into one society matrix and return it revised once.
 
     Each owner contributes its own row: its assessment of every subject its
     minor covers. Subjects nobody assessed keep an all-absent column. The
@@ -212,17 +199,17 @@ def aggregate_major(
         for subject, value in minor.row(owner).items():
             stacked.set_entry(index[owner], index[subject], value)
         assignment[index[owner]] = op
-    return MajorMatrix(step_society(stacked, assignment, rng), interval_index)
+    return step_society(stacked, assignment, rng)
 
 
-def handle_query(major: MajorMatrix, subject: int, society: Sequence[int]) -> QueryResult:
-    """Answer "what does the society think of ``subject``" from the aggregate."""
+def handle_query(major: AssessmentMatrix, subject: int, society: Sequence[int]) -> QueryResult:
+    """Answer "what does the society think of ``subject``" from the revised aggregate."""
     society = list(society)
     try:
         j = society.index(subject)
     except ValueError:
         raise IndexError(f"subject {subject} is not part of the society") from None
-    values = tuple(major.a_major.column_subvector(j))
+    values = tuple(major.column_subvector(j))
     mean = math.fsum(values) / len(values) if values else None
     return QueryResult(values, len(values), mean)
 

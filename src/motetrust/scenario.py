@@ -64,18 +64,9 @@ from functools import partial
 from pathlib import Path
 
 from .qad import OperatorChoice
-from .simnet import EnergyCosts, Engine, LinkEvent, LinkTruth, Scenario, ScenarioError, SafetyWeights
+from .simnet import LINK_FIELDS, Engine, LinkEvent, LinkTruth, Scenario, ScenarioError, SafetyWeights
 
 _SECTION_RE = re.compile(r"\[([a-z]+)\]")
-
-#: file key -> LinkTruth attribute
-_LINK_KEYS = {
-    "link_quality": "link_quality",
-    "tx_rate_bps": "tx_rate",
-    "response_time_ms": "response_time",
-    "uptime": "uptime",
-    "noise_scale": "noise_scale",
-}
 
 
 def _as_int(key: str, value: str, line: int) -> int:
@@ -129,21 +120,16 @@ def _as_weights(key: str, value: str, line: int) -> SafetyWeights:
     return _at_line(line, SafetyWeights, *(_as_float(key, p, line) for p in parts))
 
 
-def _as_cost(key: str, value: str, line: int) -> float:
-    number = _as_float(key, value, line)
-    _at_line(line, EnergyCosts, number)  # every cost has the same range
-    return number
-
-
 def _link_field(key: str, value: str, line: int) -> float:
-    """The number of link field ``key``, range-checked alone so that an error names its line."""
+    """An override's or an event's link field ``key``, range-checked alone so that an error names its line."""
     number = _as_float(key, value, line)
-    _at_line(line, LinkTruth, **{_LINK_KEYS[key]: number})
+    _at_line(line, LinkTruth, **{LINK_FIELDS[key]: number})
     return number
 
 
 #: section -> file key -> (target, caster). The target is a Scenario field, or
-#: ``costs.<attr>`` / ``default_link.<attr>`` for one attribute of that field.
+#: ``costs.<attr>`` / ``default_link.<attr>`` for one attribute of that field,
+#: which checks the attribute when it is set.
 _KEYS = {
     "network": {
         "motes": ("motes", _as_int),
@@ -171,11 +157,11 @@ _KEYS = {
         "capacity_j": ("capacity", _as_float),
         "init_j": ("init_energy", _as_float),
         "harvest_j_per_s": ("harvest_rate", _as_float),
-        "tx_cost_j": ("costs.tx", _as_cost),
-        "rx_cost_j": ("costs.rx", _as_cost),
-        "compute_cost_j": ("costs.compute", _as_cost),
+        "tx_cost_j": ("costs.tx", _as_float),
+        "rx_cost_j": ("costs.rx", _as_float),
+        "compute_cost_j": ("costs.compute", _as_float),
     },
-    "links": {key: (f"default_link.{attr}", _link_field) for key, attr in _LINK_KEYS.items()},
+    "links": {key: (f"default_link.{attr}", _as_float) for key, attr in LINK_FIELDS.items()},
 }
 
 
@@ -225,12 +211,12 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
         if section == "links" and "." in key:
             link_part, field_key = key.split(".", 1)
             a, b = _parse_endpoints(link_part, lineno)
-            if field_key not in _LINK_KEYS:
+            if field_key not in LINK_FIELDS:
                 raise ScenarioError(f"unknown link field {field_key!r}", lineno)
             edge = (min(a, b), max(a, b))
             per_link = overrides.setdefault(edge, {})
             lines.setdefault(edge, lineno)
-            attr = _LINK_KEYS[field_key]
+            attr = LINK_FIELDS[field_key]
             if attr in per_link:
                 raise ScenarioError(f"duplicate override {key!r}", lineno)
             per_link[attr] = _link_field(field_key, value, lineno)
@@ -242,10 +228,11 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
             raise ScenarioError(f"duplicate key {key!r} in [{section}]", lineno)
         lines[target] = lineno
         part, _, attr = target.rpartition(".")
-        if part:
-            setattr(scenario, part, replace(getattr(scenario, part), **{attr: cast(key, value, lineno)}))
+        parsed = cast(key, value, lineno)
+        if part:  # the field's dataclass checks the attribute it is given
+            setattr(scenario, part, _at_line(lineno, replace, getattr(scenario, part), **{attr: parsed}))
         else:
-            setattr(scenario, attr, cast(key, value, lineno))
+            setattr(scenario, attr, parsed)
 
     if "network" not in seen_sections:
         raise ScenarioError("missing [network] section")
@@ -279,9 +266,9 @@ def _parse_event(
         a, b = _parse_endpoints(tokens.pop("link"), lineno)
         changes: dict[str, float] = {}
         for key, value in tokens.items():
-            if key not in _LINK_KEYS:
+            if key not in LINK_FIELDS:
                 raise ScenarioError(f"unknown link field {key!r} in event", lineno)
-            changes[_LINK_KEYS[key]] = _link_field(key, value, lineno)
+            changes[LINK_FIELDS[key]] = _link_field(key, value, lineno)
         if not changes:
             raise ScenarioError("link event changes nothing", lineno)
         link_events.append(LinkEvent(at, a, b, changes))

@@ -35,9 +35,11 @@ on that, and a death is the one thing that voids any of them:
 * ``_flood`` keeps the senders of each mote's last walk, which stay a live
   component while they all live, and reuses them while every one would also
   survive its rx;
-* ``_unicast`` routes every upload and every answer from one BFS rooted at
-  the host: an answer reads the tree path to the asker, and an upload steps
-  at each mote to its lowest-address neighbor one hop nearer the host.
+* ``_unicast`` routes every upload and every answer along ``_routes(host)``,
+  one BFS from the host: an answer reads the tree path to the asker, and an
+  upload steps at each mote to its lowest-address neighbor one hop nearer
+  the host. ``_routes`` is the one search over the live motes;
+  ``_shortest_path``, which the simulator does not call, walks it too.
 
 The host routes start afresh in each ``_aggregate``. Every death in a poll,
 a flood, a unicast or a greedy route goes through ``_die``, which voids them
@@ -161,8 +163,14 @@ class LinkTruth:
             raise ScenarioError("noise_scale must be non-negative")
 
 
-#: LinkTruth attributes an override or event may touch.
-LINK_FIELDS = ("link_quality", "tx_rate", "response_time", "uptime", "noise_scale")
+#: Scenario-file key -> the LinkTruth attribute it sets; a default, an override or an event may set each.
+LINK_FIELDS = {
+    "link_quality": "link_quality",
+    "tx_rate_bps": "tx_rate",
+    "response_time_ms": "response_time",
+    "uptime": "uptime",
+    "noise_scale": "noise_scale",
+}
 
 
 @dataclass
@@ -278,7 +286,7 @@ class Scenario:
         if not changes:
             raise ScenarioError("a link entry must set at least one field", line)
         for name in changes:
-            if name not in LINK_FIELDS:
+            if name not in LINK_FIELDS.values():
                 raise ScenarioError(f"unknown link field {name!r}", line)
         try:
             replace(self.default_link, **changes)  # LinkTruth checks its fields
@@ -645,9 +653,7 @@ class _Simulation:
         self._next_hop: dict[int, int] = {}  # greedy holder -> next hop, -1 for none; cleared by _serve and deaths
         self._reach: list[tuple[int, ...] | None] = [None] * scenario.motes  # per mote, its last flood's senders
         self._host: int | None = None  # the interval's host, which every unicast starts or ends at
-        # per mote, its BFS parent from the host and its next hop toward it, -1 if unreached (the host's own are
-        # never read); built at the first unicast after a void
-        self._host_routes: tuple[list[int], list[int]] | None = None
+        self._host_routes: tuple[list[int], list[int]] | None = None  # _routes(host), built by the first unicast
 
     # -- helpers ------------------------------------------------------------
 
@@ -715,27 +721,36 @@ class _Simulation:
             self._reach[b] = reach
         return reach
 
-    def _bfs(self, src: int, dst: int | None = None) -> dict[int, int]:
-        """Breadth-first parents over the live motes from ``src`` (its own parent), stopping at ``dst``."""
+    def _routes(self, root: int) -> tuple[list[int], list[int]]:
+        """One BFS from ``root`` over the live motes: per mote, its parent and ``toward``, -1 if unreached.
+
+        Neighbors are scanned in ascending order, so walking ``parent`` back from a mote gives the path a search
+        from ``root`` finds to it. ``toward[v]``, the lowest-address neighbor of ``v`` one hop nearer ``root``,
+        steps along the path a search from ``v`` finds: the lexicographically smallest shortest path. ``depth``
+        holds the hop counts. The root's own entries are never read.
+        """
         motes, adjacency = self.motes, self.adjacency
-        parents = {src: src}
-        queue = [src]
-        for cur in queue:  # grows as the search reaches new motes
-            for b in adjacency[cur]:  # ascending: deterministic parents
-                if b in parents or not motes[b].alive:
-                    continue
-                parents[b] = cur
-                if b == dst:
-                    return parents
-                queue.append(b)
-        return parents
+        n = self.sc.motes
+        parent, toward, depth = [-1] * n, [-1] * n, [-1] * n
+        depth[root] = 0
+        queue = [root] if motes[root].alive else []  # a dead root reaches no one
+        for cur in queue:  # grows as the search reaches new motes, one level after the other
+            d = depth[cur] + 1
+            for b in adjacency[cur]:
+                if depth[b] < 0:
+                    if motes[b].alive:
+                        depth[b], parent[b], toward[b] = d, cur, cur
+                        queue.append(b)
+                elif depth[b] == d and cur < toward[b]:
+                    toward[b] = cur
+        return parent, toward
 
     def _shortest_path(self, src: int, dst: int) -> list[int] | None:
+        """The lexicographically smallest shortest live path, or None; the simulator routes by ``_unicast``."""
         if src == dst:
             return [src]
-        if not self.motes[src].alive or not self.motes[dst].alive:
-            return None
-        return _path(self._bfs(src, dst), dst)
+        path = _walk(self._routes(src)[0], dst, src)
+        return path and path[::-1]
 
     def _void_routes(self) -> None:
         """Forget every route chosen on the live graph, which any death changes."""
@@ -780,37 +795,15 @@ class _Simulation:
     def _unicast(self, src: int, dst: int) -> bool:
         """Hop-by-hop delivery along the shortest live path; False when it breaks.
 
-        Every unicast runs between a mote and the host that ``_aggregate`` set, along routes from one BFS
-        rooted at the host. An answer takes the tree path to the asker, which a search that stops at the
-        asker also finds. An upload steps to the lowest-address neighbor one hop nearer the host: that
-        builds the lexicographically smallest shortest path, which a search from the uploader that scans
-        neighbors in ascending order finds. Until a death voids them, these are a fresh search's paths.
+        Every unicast runs between a mote and the host that ``_aggregate`` set, along the host's ``_routes``,
+        which are kept until a death voids them. An answer takes the reversed parent walk from the asker and an
+        upload the ``toward`` walk to the host: each is the path a fresh search from the sender finds.
         """
         host, routes = self._host, self._host_routes
         if routes is None:
-            motes, adjacency = self.motes, self.adjacency
-            n = self.sc.motes
-            parent, toward, depth = [-1] * n, [-1] * n, [-1] * n
-            depth[host] = 0
-            queue = [host] if motes[host].alive else []  # a dead host reaches no one
-            for cur in queue:  # grows as the search reaches new motes, one level after the other
-                d = depth[cur] + 1
-                for b in adjacency[cur]:  # ascending: the parents a search from the host sets
-                    if depth[b] < 0:
-                        if motes[b].alive:
-                            depth[b], parent[b], toward[b] = d, cur, cur
-                            queue.append(b)
-                    elif depth[b] == d and cur < toward[b]:
-                        toward[b] = cur
-            routes = self._host_routes = (parent, toward)
-        step, a = (routes[0], dst) if src == host else (routes[1], src)
-        if step[a] < 0:  # unreached; a reached mote's steps are all reached, and end at the host
-            return False
-        path = [a]
-        while a != host:
-            a = step[a]
-            path.append(a)
-        return self._send(path[::-1] if src == host else path)
+            routes = self._host_routes = self._routes(host)
+        path = _walk(routes[0], dst, host) if src == host else _walk(routes[1], src, host)
+        return path is not None and self._send(path[::-1] if src == host else path)
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""
@@ -923,7 +916,7 @@ class _Simulation:
         order = rwp_proto.election_order(announcements)
         return order[0], (order[1] if self.sc.failover and len(order) > 1 else None)
 
-    def _aggregate(self, k: int, provider: int, roc_map: dict[int, int], stats: Counter[str]) -> float | None:
+    def _aggregate(self, provider: int, roc_map: dict[int, int], stats: Counter[str]) -> float | None:
         """Upload the minors, aggregate them and flood the result; the next theta, or None if the host died."""
         sc = self.sc
         host = self.motes[provider]
@@ -946,7 +939,7 @@ class _Simulation:
         charge_energy(host, "compute", sc.costs)  # aggregation
         if not host.alive:
             return None
-        rwp_proto.aggregate_major(minors, self.society, k, rng=self.hop_rng)  # no output reads it
+        rwp_proto.aggregate_major(minors, self.society, rng=self.hop_rng)  # no output reads it
         theta_next = rwp_proto.next_interval(rocs, sc.theta_base, sc.theta_min, sc.theta_max)
         charge_energy(host, "compute", sc.costs)
         if not host.alive:
@@ -989,7 +982,7 @@ class _Simulation:
         self._apply_kills(k)  # scripted failures land mid-interval, after the election
         provider = None if elected is None else rwp_proto.failover(elected, backup, self._alive)
         stats: Counter[str] = Counter(floods=len(announcements))
-        theta_next = None if provider is None else self._aggregate(k, provider, roc_map, stats)
+        theta_next = None if provider is None else self._aggregate(provider, roc_map, stats)
         if theta_next is None:  # an unserved interval keeps the current period
             provider, theta_next = None, theta
         selections = self._serve(provider, stats)
@@ -1036,15 +1029,17 @@ class _Simulation:
         return math.fsum(combined) / len(combined) if combined else None
 
 
-def _path(parents: dict[int, int], dst: int) -> list[int] | None:
-    """The path from the root of a breadth-first search to ``dst``, or None if it never reached it."""
-    if dst not in parents:
+def _walk(step: list[int], a: int, root: int) -> list[int] | None:
+    """The path from ``a`` (not ``root``) to ``root`` along ``step``, or None if ``a`` is unreached.
+
+    A reached mote's steps are all reached, and end at the root.
+    """
+    if step[a] < 0:
         return None
-    path = [dst]
-    while parents[dst] != dst:
-        dst = parents[dst]
-        path.append(dst)
-    path.reverse()
+    path = [a]
+    while a != root:
+        a = step[a]
+        path.append(a)
     return path
 
 

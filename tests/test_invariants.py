@@ -313,23 +313,41 @@ def test_an_upload_steps_to_the_lowest_nearer_neighbor():
     assert unicast_paths(sim, 0, 8) == (True, [[0, 1, 2, 5, 8]])
 
 
+def with_dead(scenario, dead) -> _Simulation:
+    """A fresh simulation of ``scenario`` in which the motes in ``dead`` that it has are dead."""
+    sim = _Simulation(scenario)
+    for addr in dead:
+        if addr < scenario.motes:
+            sim.motes[addr].alive = False
+            sim.motes[addr].energy = 0.0
+    return sim
+
+
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.sets(st.integers(0, 9)))
+@example(GRID_3X3, {4})
+def test_shortest_paths_are_the_searched_paths(scenario, dead):
+    # _shortest_path walks the parents of one _routes search; for every ordered pair, dead endpoints and a mote to
+    # itself included, it must return what the oracle's own deque search returns
+    sim = with_dead(scenario, dead)
+    for src in range(scenario.motes):
+        for dst in range(scenario.motes):
+            assert sim._shortest_path(src, dst) == _Walking._shortest_path(sim, src, dst), (src, dst)
+
+
 @settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios(), st.sets(st.integers(0, 9)), st.integers(0, 9))
 @example(GRID_3X3, {4}, 8)
 def test_host_routes_are_the_searched_paths(scenario, dead, host):
     # one search from the host must route every upload and every answer along the path a search from its
     # sender finds: ties between shortest paths go to the lexicographically smallest
-    sim = _Simulation(scenario)
-    for addr in dead:
-        if addr < scenario.motes:
-            sim.motes[addr].alive = False
-            sim.motes[addr].energy = 0.0
+    sim = with_dead(scenario, dead)
     host = sim._host = host % scenario.motes
     for a in range(scenario.motes):
         if a == host or not sim.motes[a].alive:
             continue
         for src, dst in ((a, host), (host, a)):
-            want = sim._shortest_path(src, dst)
+            want = _Walking._shortest_path(sim, src, dst)
             assert unicast_paths(sim, src, dst) == ((True, [want]) if want else (False, [])), (src, dst)
 
 

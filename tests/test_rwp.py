@@ -9,7 +9,6 @@ from motetrust.qad import AssessmentMatrix, OperatorChoice, step_society
 from motetrust.rwp import (
     MAX_SOCIETY_SIZE,
     AddressedMatrix,
-    MajorMatrix,
     RwpPhase,
     RwpState,
     aggregate_major,
@@ -155,22 +154,20 @@ class TestAggregateMajor:
         major = aggregate_major(
             [(1, a, OperatorChoice.CONSENSUS_SEEKER), (2, b, OperatorChoice.CONSENSUS_SEEKER)],
             society=[1, 2],
-            interval_index=4,
         )
-        assert major.interval_index == 4
         # columns before revision: (2, -1) and (1, 2); consensus lands on floor-toward-zero means
-        assert major.a_major.entry(0, 0) == 0
-        assert major.a_major.entry(0, 1) == 1
-        assert major.a_major.entry(1, 0) == 0
-        assert major.a_major.entry(1, 1) == 1
+        assert major.entry(0, 0) == 0
+        assert major.entry(0, 1) == 1
+        assert major.entry(1, 0) == 0
+        assert major.entry(1, 1) == 1
 
     def test_unassessed_subject_keeps_absent_column(self):
         a = AddressedMatrix([1])
         a.set(1, 1, 2)
         major = aggregate_major([(1, a, OperatorChoice.MODERATE_OPTIMISTIC)], society=[1, 5])
-        assert major.a_major.entry(0, 1) is None
-        assert major.a_major.entry(1, 0) is None
-        assert major.a_major.entry(1, 1) is None
+        assert major.entry(0, 1) is None
+        assert major.entry(1, 0) is None
+        assert major.entry(1, 1) is None
 
     def test_matches_direct_society_step(self):
         rng = random.Random(31)
@@ -187,7 +184,7 @@ class TestAggregateMajor:
                 m.set(i, j, v)
             minors.append((i, m, ops[i]))
         major = aggregate_major(minors, society)
-        assert major.a_major == step_society(AssessmentMatrix(rows), ops)
+        assert major == step_society(AssessmentMatrix(rows), ops)
 
     def test_owner_must_belong_and_be_unique(self):
         m = AddressedMatrix([1])
@@ -205,8 +202,7 @@ class TestAggregateMajor:
 
 class TestHandleQuery:
     def make_major(self):
-        m = AssessmentMatrix([[2, 1, None], [0, None, None], [-1, 1, None]])
-        return MajorMatrix(m, interval_index=0)
+        return AssessmentMatrix([[2, 1, None], [0, None, None], [-1, 1, None]])
 
     def test_column_and_mean(self):
         q = handle_query(self.make_major(), 10, [10, 20, 30])
@@ -290,10 +286,3 @@ class TestAddressedMatrix:
     def test_duplicate_addresses_rejected(self):
         with pytest.raises(ValueError):
             AddressedMatrix([1, 1])
-
-
-class TestMajorMatrix:
-    def test_validation(self):
-        m = AssessmentMatrix.filled(1)
-        with pytest.raises(ValueError):
-            MajorMatrix(m, interval_index=-1)

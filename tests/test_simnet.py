@@ -394,7 +394,7 @@ class TestHostRoutes:
         assert sim._shortest_path(2, 0) == [2, 1, 0]
         sim.motes[1].energy = 0.055  # the uploads leave it less than the flood's rx
         stats = Counter()
-        assert sim._aggregate(0, 0, dict.fromkeys(range(4), 1), stats) is not None
+        assert sim._aggregate(0, dict.fromkeys(range(4), 1), stats) is not None
         assert not sim.motes[1].alive
         assert sim._host_routes is None  # the relay's death voided the routes the uploads built
         sim._serve(0, stats)
