@@ -26,7 +26,6 @@ from .rwp import (
     RwpState,
     aggregate_major,
     compute_pcp,
-    elect_hacp,
     failover,
     handle_query,
     next_interval,

@@ -143,11 +143,6 @@ def election_order(announcements: Iterable[tuple[int, int]]) -> list[int]:
     return [a for a, _ in sorted(pairs, key=lambda p: (-p[1], p[0]))]
 
 
-def elect_hacp(announcements: Iterable[tuple[int, int]]) -> int:
-    """The announcement winner; deterministic in the set, not its order."""
-    return election_order(announcements)[0]
-
-
 def next_interval(roc_values: Sequence[int], theta_base: float, theta_min: float, theta_max: float) -> float:
     """Adapt the interval length to reported churn.
 

@@ -31,7 +31,9 @@ to the next, and trust holds still throughout ``_serve``. Three caches rest
 on that, and a death is the one thing that voids any of them:
 
 * ``_route_greedy`` keeps each holder's next hop in a table that ``_serve``
-  clears;
+  clears; while it holds, a frame that comes back to a holder only goes round
+  that cycle to the hop cap, so ``_lap`` bills those hops in one pass unless
+  they would drain a member;
 * ``_flood`` keeps the senders of each mote's last walk, which stay a live
   component while they all live, and reuses them while every one would also
   survive its rx;
@@ -806,14 +808,22 @@ class _Simulation:
         return path is not None and self._send(path[::-1] if src == host else path)
 
     def _route_greedy(self, src: int, dst: int) -> bool:
-        """Forward hop by hop to each holder's most trusted neighbor; capped at n hops."""
+        """Forward hop by hop to each holder's most trusted neighbor; capped at n hops.
+
+        While no mote dies the next hops hold still, so a frame that comes back to a holder only repeats that cycle
+        to the cap. Brent's method spots the return: ``mark`` is the holder after hop ``marked``, and the holder
+        after hop ``renew`` replaces it, ``renew`` doubling each time. ``_lap`` then bills the rest of the walk at
+        once. A death restarts the search, and a lap that would kill a member turns it off until the next death.
+        """
         motes, adjacency, next_hop, costs = self.motes, self.adjacency, self._next_hop, self.sc.costs
         tx, rx = costs.tx, costs.rx
-        current = src
-        for _ in range(self.sc.motes):
-            mote = motes[current]
-            if not mote.alive:
-                return False
+        n = self.sc.motes
+        mote = motes[src]
+        if not mote.alive:
+            return False
+        current = mark = src
+        marked, renew = 0, 2
+        for i in range(1, n + 1):  # hop i; ``mote``, alive, holds the frame at ``current``
             hop = next_hop.get(current)
             if hop is None:  # in _serve trust holds still, and a death clears the table when the live graph changes
                 candidates = [b for b in adjacency[current] if motes[b].alive]
@@ -827,19 +837,57 @@ class _Simulation:
                     mote.energy = energy
                 else:
                     self._die(mote)
-            receiver = motes[current]
-            if not receiver.alive:
+                    mark, renew = -1, i  # the receiver is the first mark on the new next hops
+            mote = motes[current]
+            if not mote.alive:
                 return False
-            if not receiver.unconstrained:
-                energy = receiver.energy - rx
+            if not mote.unconstrained:
+                energy = mote.energy - rx
                 if energy > 0.0:
-                    receiver.energy = energy
+                    mote.energy = energy
                 else:
-                    self._die(receiver)
+                    self._die(mote)
                     return False
             if current == dst:
                 return True
+            if current == mark:  # back round a cycle of i - marked hops, which dst is not on
+                if i < n and self._lap(current, i - marked, n - i):
+                    return False
+                mark = renew = -1
+            elif i == renew:
+                mark, marked, renew = current, i, i + i
         return False
+
+    def _lap(self, start: int, size: int, hops: int) -> bool:
+        """Bill a greedy frame's last ``hops`` hops round the ``size``-cycle of next hops from its holder ``start``.
+
+        Hop j goes from member j % size to the next, so each member's debits alternate, the holder's from its tx and
+        the others' from their rx; each runs on a local float with the walk's arithmetic. A debit only lowers the
+        value, so a member that ends above zero survives every one. Only if all do are the energies committed and
+        True returned; otherwise nothing is billed and the walk goes on hop by hop.
+        """
+        motes, next_hop, costs = self.motes, self._next_hop, self.sc.costs
+        billed = []
+        member = start
+        for p in range(size):
+            mote = motes[member]
+            member = next_hop[member]
+            if mote.unconstrained:
+                continue
+            sends = (hops - p + size - 1) // size  # the hops j < hops with j % size == p
+            receives = (hops - (p - 1) % size + size - 1) // size  # and those with (j + 1) % size == p
+            first, then = (costs.tx, costs.rx) if p == 0 else (costs.rx, costs.tx)
+            energy = mote.energy
+            for _ in range(min(sends, receives)):
+                energy = energy - first - then
+            if sends != receives:
+                energy -= first
+            if not energy > 0.0:
+                return False
+            billed.append((mote, energy))
+        for mote, energy in billed:
+            mote.energy = energy
+        return True
 
     def _merge_row(self, mote: MoteState, peer: int, row: dict[int, int]) -> None:
         # the poll reply carries the peer's own assessment row, checked when the peer wrote it;

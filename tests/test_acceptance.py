@@ -22,7 +22,7 @@ from motetrust.qad import (
     apply_operator,
     step_society,
 )
-from motetrust.rwp import elect_hacp, next_interval, trust_relation_count
+from motetrust.rwp import election_order, next_interval, trust_relation_count
 from motetrust.simnet import (
     Engine,
     LinkEvent,
@@ -179,7 +179,7 @@ def test_criterion_06_election_from_announcements():
         if not rec.announcements:
             problems.append(f"interval {rec.index} recorded no announcements")
             continue
-        if rec.elected_hacp != elect_hacp(rec.announcements):
+        if rec.elected_hacp != election_order(rec.announcements)[0]:
             problems.append(f"interval {rec.index} elected {rec.elected_hacp}")
         if rec.active_hacp != rec.elected_hacp or rec.service_gap:
             problems.append(f"interval {rec.index} host did not serve")

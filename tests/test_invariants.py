@@ -236,11 +236,30 @@ SINK_REUSES_ITS_ROUTES = Scenario(
 )
 
 
+# greedy frames lap 2-cycles to the cap: six laps are billed in one pass, and one would drain mote 4, so that walk goes
+# on hop by hop until mote 4 dies of a tx; the next hops chosen again then deliver the frame to the sink
+LAPS_AND_A_DRAINED_MEMBER = Scenario(
+    motes=6,
+    intervals=3,
+    topology="geometric",
+    radius=0.5,
+    seed=0,
+    failover=False,
+    architecture="sink",
+    engine=Engine.BAYES,
+    capacity=CAPACITY,
+    init_energy=1.0,
+    harvest_rate=0.0,
+    default_link=LinkTruth(noise_scale=0.1),
+)
+
+
 @settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 @example(FLOOD_KILLS_A_RELAY)
 @example(EXACT_ZERO)
 @example(SINK_REUSES_ITS_ROUTES)
+@example(LAPS_AND_A_DRAINED_MEMBER)
 def test_the_caches_change_no_trace(scenario):
     with mock.patch.object(simnet, "_Simulation", _Walking):
         walked = run(scenario)
@@ -293,6 +312,54 @@ def test_each_walk_bills_as_charge_energy(topology):
                 fast._next_hop.clear()  # trust moved, as it has by each _serve
             state = [(m.energy, m.alive) for m in fast.motes.values()]
             assert (got, state) == (want, [(m.energy, m.alive) for m in slow.motes.values()]), (seed, method, args)
+
+
+# a 12-ring round a sink, with no trust yet: every holder hands the frame to its lowest-address live neighbor, so a
+# frame from mote 2 to mote 7 goes 2, 1, 0, 1, 0, ... and laps the 2-cycle of the sink and mote 1 to the cap
+LAP_RING = Scenario(
+    motes=12, topology="ring", architecture="sink", engine=Engine.QAD, costs=EXACT_COSTS, capacity=4.0,
+    init_energy=4.0, harvest_rate=0.0,
+)
+
+
+def greedy_both(scenario, energies, src, dst) -> tuple[bool, list[tuple[float, bool]], list[bool]]:
+    """One greedy route from the same batteries on the simulation and on the walking oracle, which must agree on
+    what it returns and on every mote's (energy, alive); gives those and what each ``_lap`` call returned."""
+    fast, slow = _Simulation(scenario), _Walking(scenario)
+    for sim in fast, slow:
+        for addr, energy in energies.items():
+            sim.motes[addr].energy = energy
+    laps = []
+    lap = fast._lap
+    with mock.patch.object(fast, "_lap", lambda *args: laps.append(lap(*args)) or laps[-1]):
+        got = fast._route_greedy(src, dst)
+    state = [(m.energy, m.alive) for m in fast.motes.values()]
+    assert (got, state) == (slow._route_greedy(src, dst), [(m.energy, m.alive) for m in slow.motes.values()])
+    return got, state, laps
+
+
+def test_a_frame_laps_a_cycle_to_the_cap_in_one_pass():
+    # hops 1-4 bring the frame back to the sink, and the last 8 are billed at once: mote 1 pays 6 rx and 6 tx in all
+    got, state, laps = greedy_both(LAP_RING, {}, 2, 7)
+    assert (got, laps) == (False, [True])
+    assert state[:3] == [(4.0, True), (4.0 - 6 * (0.125 + 0.25), True), (4.0 - 0.25, True)]
+
+
+def test_a_lap_that_drains_a_member_falls_back_to_the_walk():
+    # mote 1 cannot pay the lap's 8 hops, so the walk bills them one by one; its tx drains it on the tenth hop, the
+    # sink then turns to mote 11, and the frame goes round the sink and mote 11 to the cap
+    got, state, laps = greedy_both(LAP_RING, {1: 1.8}, 2, 7)
+    assert (got, laps) == (False, [False])
+    assert [alive for _, alive in state] == [True, False] + [True] * 10
+    assert state[11] == (4.0 - 0.125 - 0.25, True)
+
+
+def test_a_member_left_at_exactly_zero_by_the_lap_dies():
+    # mote 1 has exactly the 2.25 J that the walk bills it, so its last debit, the tx of the last hop, leaves it at
+    # 0.0 J, which is death: the lap must not commit it alive
+    got, state, laps = greedy_both(LAP_RING, {1: 2.25}, 2, 7)
+    assert (got, laps) == (False, [False])
+    assert state[1] == (0.0, False)
 
 
 GRID_3X3 = Scenario(motes=9, topology="grid", architecture="sink", engine=Engine.QAD)

@@ -13,7 +13,6 @@ from motetrust.rwp import (
     RwpState,
     aggregate_major,
     compute_pcp,
-    elect_hacp,
     election_order,
     failover,
     handle_query,
@@ -93,17 +92,17 @@ class TestComputePcp:
 
 class TestElection:
     def test_highest_pcp_wins(self):
-        assert elect_hacp([(4, 3), (2, 9), (8, 7)]) == 2
+        assert election_order([(4, 3), (2, 9), (8, 7)])[0] == 2
 
     def test_tie_breaks_to_lowest_address(self):
-        assert elect_hacp([(9, 10), (3, 10), (5, 10)]) == 3
+        assert election_order([(9, 10), (3, 10), (5, 10)])[0] == 3
 
     def test_order_is_full_ranking(self):
         assert election_order([(4, 3), (2, 9), (8, 7), (1, 3)]) == [2, 8, 1, 4]
 
     def test_empty_and_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            elect_hacp([])
+            election_order([])
         with pytest.raises(ValueError):
             election_order([(1, 5), (1, 6)])
 
@@ -113,7 +112,6 @@ class TestElection:
         expected = election_order(announcements)
         shuffled = announcements[::-1]
         assert election_order(shuffled) == expected
-        assert elect_hacp(shuffled) == expected[0]
 
 
 class TestNextInterval:
