@@ -7,7 +7,8 @@ intervals. ``_Simulation.run_interval`` runs one phase method after another:
 * ``_monitor``: every mote polls its neighbors, scores the link, and feeds
   the score to its trust engine (quintile assessments, behavior tallies,
   or evidence counts); returns each mote's PCP and rate of change;
-* ``_announce``: every mote floods its (address, PCP) announcement;
+* ``_announce``: every mote floods its (address, PCP) announcement; after
+  the first of each component, ``_bill_floods`` bills the rest at once;
 * ``_elect``: the society picks the interval's aggregation host, with an
   optional hot standby;
 * ``_aggregate``: motes upload their neighborhood matrices to the host,
@@ -31,12 +32,13 @@ to the next, and trust holds still throughout ``_serve``. Three caches rest
 on that, and a death is the one thing that voids any of them:
 
 * ``_route_greedy`` keeps each holder's next hop in a table that ``_serve``
-  clears; while it holds, a frame that comes back to a holder only goes round
-  that cycle to the hop cap, so ``_lap`` bills those hops in one pass unless
-  they would drain a member;
+  clears and fills with each mote's own selection; while it holds, a frame
+  that comes back to a holder only goes round that cycle to the hop cap, so
+  ``_lap`` bills those hops in one pass unless they would drain a member;
 * ``_flood`` keeps the senders of each mote's last walk, which stay a live
   component while they all live, and reuses them while every one would also
-  survive its rx;
+  survive its rx; ``_bill_floods`` bills a component's later announcements
+  on them in one pass unless that would drain a member;
 * ``_unicast`` routes every upload and every answer along ``_routes(host)``,
   one BFS from the host: an answer reads the tree path to the asker, and an
   upload steps at each mote to its lowest-address neighbor one hop nearer
@@ -945,15 +947,65 @@ class _Simulation:
         return pcp_map, roc_map
 
     def _announce(self, pcp_map: dict[int, int]) -> list[tuple[int, int]]:
-        """Flood each live mote's (address, PCP), in address order; a sink collects none."""
+        """Flood each live mote's (address, PCP), in address order; a sink collects none.
+
+        The first announcer of each component floods it, and ``_bill_floods`` then bills the floods of the rest of
+        that component at once. After a batch it refuses, every later announcer floods on its own.
+        """
         if self.sc.architecture == "sink":
             return []
         announcements = []
+        billed: set[int] = set()  # the members of the batches billed so far
+        batching = True
         for a, pcp in pcp_map.items():
-            if self._alive(a):  # an earlier flood may have drained it
-                self._flood(a)
-                announcements.append((a, pcp))
+            if a not in billed:
+                if not self._alive(a):  # an earlier flood may have drained it
+                    continue
+                reach = self._flood(a)
+                if batching:
+                    if self._bill_floods(reach, a):
+                        billed.update(reach)
+                    else:
+                        batching = False
+            announcements.append((a, pcp))
         return announcements
+
+    def _bill_floods(self, reach: tuple[int, ...], first: int) -> bool:
+        """Bill the announcement floods of every member of ``reach`` after ``first``, which has just flooded it.
+
+        ``first`` must be the lowest address in ``reach``, and every member alive with ``reach`` as its own, so
+        that ``reach`` is a live component whose other members announce next, in address order. While all of them
+        survive, each of those floods reuses ``reach``: a member pays rx then tx for another's flood and tx alone
+        for its own. Each member's debits run on a local float with the walk's arithmetic. A debit only lowers the
+        value, so a member that ends above zero survives every one. Only if all do are the energies committed and
+        True returned; otherwise nothing is billed.
+        """
+        motes, owner, costs = self.motes, self._reach, self.sc.costs
+        if first != min(reach):
+            return False
+        for b in reach:
+            if owner[b] is not reach or not motes[b].alive:
+                return False
+        tx, rx = costs.tx, costs.rx
+        last = len(reach) - 1
+        billed = []
+        for i, b in enumerate(sorted(reach)):
+            mote = motes[b]
+            if mote.unconstrained:
+                continue
+            energy = mote.energy
+            if i:  # the floods of the i - 1 members between first and it, then its own
+                for _ in range(i - 1):
+                    energy = energy - rx - tx
+                energy -= tx
+            for _ in range(last - i):  # and those of the members after it
+                energy = energy - rx - tx
+            if not energy > 0.0:
+                return False
+            billed.append((mote, energy))
+        for mote, energy in billed:
+            mote.energy = energy
+        return True
 
     def _elect(self, announcements: list[tuple[int, int]]) -> tuple[int | None, int | None]:
         """The interval's host and its hot standby, either of which may be None."""
@@ -1007,7 +1059,8 @@ class _Simulation:
             candidates = [b for b in self.adjacency[a] if self._alive(b)]
             if not candidates:
                 continue
-            selections[a] = select_peer(mote, candidates)
+            # also the first hop of a's greedy route, unless a death in its queries clears the table first
+            selections[a] = self._next_hop[a] = select_peer(mote, candidates)
             if provider is None:
                 continue
             stats["queries_sent"] += 1  # a remote asker's query and answer each cost a unicast

@@ -13,6 +13,7 @@ simulation's walk does.
 import math
 import random
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -117,8 +118,11 @@ def test_the_strategy_drains_batteries():
 
 
 class _Walking(_Simulation):
-    """The simulation without its liveness caches: every greedy hop selects, every flood walks and every
-    unicast searches afresh, and every poll, unicast and greedy hop bills through charge_energy."""
+    """The simulation without its liveness caches: every greedy hop selects, every announcement and every other
+    flood walks, every unicast searches afresh, and every poll, unicast and greedy hop bills through charge_energy."""
+
+    def _bill_floods(self, reach, first):
+        return False  # so each announcement floods on its own
 
     def _flood(self, origin):
         motes, adjacency, costs = self.motes, self.adjacency, self.sc.costs
@@ -254,12 +258,31 @@ LAPS_AND_A_DRAINED_MEMBER = Scenario(
 )
 
 
+# the first interval's announcements are billed in one batch; in the second a member cannot pay them, so they flood
+# one by one and a mote drains before its turn; in the third the society has split, and each of two components is
+# billed in a batch
+A_REFUSED_BATCH = Scenario(
+    motes=8,
+    intervals=3,
+    topology="geometric",
+    radius=0.5,
+    seed=0,
+    failover=False,
+    engine=Engine.BETA,
+    capacity=CAPACITY,
+    init_energy=1.5,
+    harvest_rate=0.0,
+    default_link=LinkTruth(noise_scale=0.0),
+)
+
+
 @settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 @example(FLOOD_KILLS_A_RELAY)
 @example(EXACT_ZERO)
 @example(SINK_REUSES_ITS_ROUTES)
 @example(LAPS_AND_A_DRAINED_MEMBER)
+@example(A_REFUSED_BATCH)
 def test_the_caches_change_no_trace(scenario):
     with mock.patch.object(simnet, "_Simulation", _Walking):
         walked = run(scenario)
@@ -322,25 +345,25 @@ LAP_RING = Scenario(
 )
 
 
-def greedy_both(scenario, energies, src, dst) -> tuple[bool, list[tuple[float, bool]], list[bool]]:
-    """One greedy route from the same batteries on the simulation and on the walking oracle, which must agree on
-    what it returns and on every mote's (energy, alive); gives those and what each ``_lap`` call returned."""
+def both(scenario, energies, shortcut, method, *args) -> tuple[object, list[tuple[float, bool]], list[bool]]:
+    """One call of ``method`` from the same batteries on the simulation and on the walking oracle, which must agree
+    on what it returns and on every mote's (energy, alive); gives those and what each ``shortcut`` call returned."""
     fast, slow = _Simulation(scenario), _Walking(scenario)
     for sim in fast, slow:
         for addr, energy in energies.items():
             sim.motes[addr].energy = energy
-    laps = []
-    lap = fast._lap
-    with mock.patch.object(fast, "_lap", lambda *args: laps.append(lap(*args)) or laps[-1]):
-        got = fast._route_greedy(src, dst)
+    taken = []
+    take = getattr(fast, shortcut)
+    with mock.patch.object(fast, shortcut, lambda *a: taken.append(take(*a)) or taken[-1]):
+        got = getattr(fast, method)(*args)
     state = [(m.energy, m.alive) for m in fast.motes.values()]
-    assert (got, state) == (slow._route_greedy(src, dst), [(m.energy, m.alive) for m in slow.motes.values()])
-    return got, state, laps
+    assert (got, state) == (getattr(slow, method)(*args), [(m.energy, m.alive) for m in slow.motes.values()])
+    return got, state, taken
 
 
 def test_a_frame_laps_a_cycle_to_the_cap_in_one_pass():
     # hops 1-4 bring the frame back to the sink, and the last 8 are billed at once: mote 1 pays 6 rx and 6 tx in all
-    got, state, laps = greedy_both(LAP_RING, {}, 2, 7)
+    got, state, laps = both(LAP_RING, {}, "_lap", "_route_greedy", 2, 7)
     assert (got, laps) == (False, [True])
     assert state[:3] == [(4.0, True), (4.0 - 6 * (0.125 + 0.25), True), (4.0 - 0.25, True)]
 
@@ -348,7 +371,7 @@ def test_a_frame_laps_a_cycle_to_the_cap_in_one_pass():
 def test_a_lap_that_drains_a_member_falls_back_to_the_walk():
     # mote 1 cannot pay the lap's 8 hops, so the walk bills them one by one; its tx drains it on the tenth hop, the
     # sink then turns to mote 11, and the frame goes round the sink and mote 11 to the cap
-    got, state, laps = greedy_both(LAP_RING, {1: 1.8}, 2, 7)
+    got, state, laps = both(LAP_RING, {1: 1.8}, "_lap", "_route_greedy", 2, 7)
     assert (got, laps) == (False, [False])
     assert [alive for _, alive in state] == [True, False] + [True] * 10
     assert state[11] == (4.0 - 0.125 - 0.25, True)
@@ -357,9 +380,61 @@ def test_a_lap_that_drains_a_member_falls_back_to_the_walk():
 def test_a_member_left_at_exactly_zero_by_the_lap_dies():
     # mote 1 has exactly the 2.25 J that the walk bills it, so its last debit, the tx of the last hop, leaves it at
     # 0.0 J, which is death: the lap must not commit it alive
-    got, state, laps = greedy_both(LAP_RING, {1: 2.25}, 2, 7)
+    got, state, laps = both(LAP_RING, {1: 2.25}, "_lap", "_route_greedy", 2, 7)
     assert (got, laps) == (False, [False])
     assert state[1] == (0.0, False)
+
+
+# a 5-ring of peers: the announcements of motes 0-4 each reach all five, and a phase bills every mote 4 rx and 5 tx
+ANNOUNCE_RING = Scenario(
+    motes=5, topology="ring", engine=Engine.QAD, costs=EXACT_COSTS, capacity=4.0, init_energy=4.0, harvest_rate=0.0,
+)
+PCPS = {a: 10 + a for a in range(5)}
+
+
+def test_a_component_announces_in_one_batch():
+    # mote 0's flood walks the ring, and the four floods after it are billed at once: each mote ends 1.75 J lower
+    got, state, batches = both(ANNOUNCE_RING, {}, "_bill_floods", "_announce", PCPS)
+    assert (got, batches) == (list(PCPS.items()), [True])
+    assert state == [(4.0 - 1.75, True)] * 5
+
+
+def test_a_batch_bills_in_the_order_of_the_floods():
+    # from 1.6 J, an rx of 0.1 J and a tx of 0.2 J round differently in either order, and the five motes end on three
+    # different floats: a batch must run each member's debits in the order that the floods bill them
+    scenario = replace(ANNOUNCE_RING, costs=EnergyCosts(tx=0.2, rx=0.1), init_energy=1.6)
+    got, state, batches = both(scenario, {}, "_bill_floods", "_announce", PCPS)
+    assert (got, batches) == (list(PCPS.items()), [True])
+    assert len(set(state)) == 3
+
+
+def test_a_batch_that_drains_a_member_falls_back_to_the_floods():
+    # mote 3 cannot pay the phase, so nothing is batched and the floods go one by one; mote 3 dies of its tx as it
+    # relays mote 2's flood, so it never announces; the four that are left pay 3 rx and 4 tx each
+    got, state, batches = both(ANNOUNCE_RING, {3: 1.0}, "_bill_floods", "_announce", PCPS)
+    assert (got, batches) == ([(0, 10), (1, 11), (2, 12), (4, 14)], [False])
+    assert state == [(4.0 - 1.375, True)] * 3 + [(0.0, False), (4.0 - 1.375, True)]
+
+
+def test_a_member_left_at_exactly_zero_by_the_batch_dies():
+    # mote 2 has exactly the 1.75 J the phase bills it, so its last debit, its tx relaying mote 4's flood, leaves it
+    # at 0.0 J, which is death: the batch must not commit it alive
+    got, state, batches = both(ANNOUNCE_RING, {2: 1.75}, "_bill_floods", "_announce", PCPS)
+    assert (got, batches) == (list(PCPS.items()), [False])
+    assert state == [(4.0 - 1.75, True)] * 2 + [(0.0, False)] + [(4.0 - 1.75, True)] * 2
+
+
+def test_a_batch_bills_only_a_live_reach_that_its_members_hold():
+    # a reach that its members do not hold, a first announcer that is not its lowest address, and a dead member each
+    # make _bill_floods refuse the batch and bill nothing
+    sim = _Simulation(ANNOUNCE_RING)
+    assert not sim._bill_floods((0, 1, 2, 3, 4), 0)  # no flood has stored a reach yet
+    reach = sim._flood(0)
+    after_the_flood = [m.energy for m in sim.motes.values()]
+    assert not sim._bill_floods(reach, 1)
+    sim.motes[3].alive = False
+    assert not sim._bill_floods(reach, 0)
+    assert [m.energy for m in sim.motes.values()] == after_the_flood
 
 
 GRID_3X3 = Scenario(motes=9, topology="grid", architecture="sink", engine=Engine.QAD)
@@ -425,7 +500,8 @@ def reaches_past_the_host(routes) -> bool:
 
 class _Probe(_Simulation):
     """Notes when a death voids a cache: stored next hops or host routes in _serve, host routes that the
-    uploads built in the aggregate's flood, or a stored flood reach."""
+    uploads built in the aggregate's flood, or a stored flood reach; and when a component of several motes that
+    meets ``_bill_floods``' conditions has its announcements billed in a batch, or cannot pay them."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -469,8 +545,15 @@ class _Probe(_Simulation):
             self.seen.add("upload path voided")
         return result
 
+    def _bill_floods(self, reach, first):
+        ready = first == min(reach) and all(self._reach[b] is reach and self.motes[b].alive for b in reach)
+        billed = super()._bill_floods(reach, first)
+        if ready and len(reach) > 1:
+            self.seen.add("batch billed" if billed else "batch refused")
+        return billed
 
-def voided(scenario) -> set[str]:
+
+def probed(scenario) -> set[str]:
     sim = _Probe(scenario)
     for k in range(scenario.intervals):
         sim.run_interval(k)
@@ -482,7 +565,19 @@ def test_the_strategy_voids_each_cache(event):
     # the oracle above only bites if some generated run has a death void a stored cache entry
     found = find(
         scenarios(),
-        lambda s: event in voided(s),
+        lambda s: event in probed(s),
         settings=settings(max_examples=500, deadline=None, database=None),
     )
-    assert event in voided(found)
+    assert event in probed(found)
+
+
+@pytest.mark.parametrize("outcome", ["batch billed", "batch refused"])
+def test_the_strategy_bills_and_refuses_batches(outcome):
+    # the oracle only checks the batches if some generated run commits one, and some run has a member that cannot
+    # pay its component's announcements
+    found = find(
+        scenarios(),
+        lambda s: outcome in probed(s),
+        settings=settings(max_examples=500, deadline=None, database=None),
+    )
+    assert outcome in probed(found)
