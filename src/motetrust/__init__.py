@@ -31,15 +31,19 @@ from .rwp import (
     next_interval,
     trust_relation_count,
 )
-from .simnet import (
+from .scenario import (
     Engine,
     EnergyCosts,
     LinkTruth,
-    MoteState,
-    SafetyObservation,
     SafetyWeights,
     Scenario,
     ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
+from .simnet import (
+    MoteState,
+    SafetyObservation,
     SimulationTrace,
     analyze,
     charge_energy,
@@ -48,7 +52,6 @@ from .simnet import (
     safety_score,
     select_peer,
 )
-from .scenario import load_scenario, parse_scenario
 from .trustworthiness import (
     BehaviorCounts,
     Outcome,

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .rwp import trust_relation_count
-from .scenario import load_scenario
-from .simnet import Scenario, ScenarioError, SimulationTrace, run
+from .scenario import Scenario, ScenarioError, load_scenario
+from .simnet import SimulationTrace, run
 
 EXIT_OK = 0
 EXIT_SCENARIO = 1

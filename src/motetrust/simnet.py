@@ -63,276 +63,29 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from enum import Enum
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from . import rwp as rwp_proto
 from .beliefs import EvidenceCounts, bayes_posterior2
-from .qad import OperatorChoice, quantize_observation, rate_of_change
+from .qad import quantize_observation, rate_of_change
 from .rwp import AddressedMatrix
+from .scenario import (  # the settings a run reads; the rest stay importable from here, as before
+    ARCHITECTURES,
+    TOPOLOGIES,
+    EnergyCosts,
+    Engine,
+    LinkEvent,
+    LinkTruth,
+    SafetyWeights,
+    Scenario,
+    ScenarioError,
+    build_topology,
+)
 from .trustworthiness import BehaviorCounts, Outcome, TrustRecord, update_counts
 
-TOPOLOGIES = ("ring", "grid", "geometric")
-ARCHITECTURES = ("p2p", "sink")
 SINK_ADDRESS = 0
-_MAX_MOTES = rwp_proto.MAX_SOCIETY_SIZE
-_MAX_INTERVALS = 10_000  # a trace keeps every interval in memory
-_MAX_CAPACITY = sys.float_info.max / 10  # compute_pcp scales a projection of up to capacity by ten
-
-
-class Engine(Enum):
-    QAD = "qad"
-    BETA = "beta"
-    BAYES = "bayes"
-
-
-class ScenarioError(ValueError):
-    """A scenario that cannot be simulated; ``line`` points at the source when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        return f"line {self.line}: {base}" if self.line is not None else base
-
-
-# ---------------------------------------------------------------------------
-# configuration types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnergyCosts:
-    """Joules charged per elementary action."""
-
-    tx: float = 0.02
-    rx: float = 0.01
-    compute: float = 0.005
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(c) and c >= 0.0 for c in (self.tx, self.rx, self.compute)):
-            raise ScenarioError("energy costs must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class SafetyWeights:
-    """Convex weights of the four safety terms."""
-
-    link_quality: float = 0.25
-    tx_rate: float = 0.25
-    response_time: float = 0.25
-    uptime: float = 0.25
-
-    def __post_init__(self) -> None:
-        values = (self.link_quality, self.tx_rate, self.response_time, self.uptime)
-        if any(w < 0.0 for w in values):
-            raise ScenarioError("safety weights must be non-negative")
-        if abs(math.fsum(values) - 1.0) > 1e-9:
-            raise ScenarioError(f"safety weights must sum to 1, got {math.fsum(values)}")
-
-
-@dataclass(frozen=True)
-class SafetyObservation:
-    """One sample of a link as a mote saw it."""
-
-    link_quality: float
-    tx_rate: float
-    response_time: float
-    uptime: float
-
-
-@dataclass(frozen=True)
-class LinkTruth:
-    """Ground truth behind one link."""
-
-    link_quality: float = 0.9
-    tx_rate: float = 250_000.0
-    response_time: float = 20.0
-    uptime: float = 0.99
-    noise_scale: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.link_quality <= 1.0:
-            raise ScenarioError(f"link_quality {self.link_quality} outside [0, 1]")
-        if not 0.0 <= self.uptime <= 1.0:
-            raise ScenarioError(f"uptime {self.uptime} outside [0, 1]")
-        if self.tx_rate < 0.0 or self.response_time < 0.0:
-            raise ScenarioError("tx_rate and response_time must be non-negative")
-        if self.noise_scale < 0.0:
-            raise ScenarioError("noise_scale must be non-negative")
-
-
-#: Scenario-file key -> the LinkTruth attribute it sets; a default, an override or an event may set each.
-LINK_FIELDS = {
-    "link_quality": "link_quality",
-    "tx_rate_bps": "tx_rate",
-    "response_time_ms": "response_time",
-    "uptime": "uptime",
-    "noise_scale": "noise_scale",
-}
-
-
-@dataclass
-class LinkEvent:
-    """At the start of interval ``at``, rewrite fields of link (a, b)."""
-
-    at: int
-    a: int
-    b: int
-    changes: dict[str, float]
-
-
-#: Scenario fields checked on their own: name -> (its scenario-file key, test, what the value must be).
-_FIELD_RULES = {
-    "motes": ("motes", lambda v: isinstance(v, int) and 1 <= v <= _MAX_MOTES, f"an integer in [1, {_MAX_MOTES}]"),
-    "intervals": (
-        "intervals",
-        lambda v: isinstance(v, int) and 1 <= v <= _MAX_INTERVALS,
-        f"an integer in [1, {_MAX_INTERVALS}]",
-    ),
-    "topology": ("topology", lambda v: v in TOPOLOGIES, f"one of {TOPOLOGIES}"),
-    "architecture": ("architecture", lambda v: v in ARCHITECTURES, f"one of {ARCHITECTURES}"),
-    "engine": ("engine", lambda v: isinstance(v, Engine), "an Engine"),
-    "qad_operator": ("qad_operator", lambda v: isinstance(v, OperatorChoice), "an OperatorChoice"),
-    "misbehavior_threshold": ("misbehavior_threshold", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "ref_tx_rate": ("ref_tx_rate_bps", lambda v: v > 0.0, "positive"),
-    "ref_response_time": ("ref_response_time_ms", lambda v: v > 0.0, "positive"),
-    "capacity": ("capacity_j", lambda v: v > 0.0, "positive"),
-    "harvest_rate": ("harvest_j_per_s", lambda v: v >= 0.0, "non-negative"),
-}
-
-
-@dataclass
-class Scenario:
-    """Everything a run depends on; `validate` is the single gatekeeper."""
-
-    motes: int = 8
-    intervals: int = 20
-    topology: str = "ring"
-    radius: float = 0.35
-    seed: int = 1
-    theta_base: float = 60.0
-    theta_min: float = 6.0
-    theta_max: float = 600.0
-    failover: bool = True
-    architecture: str = "p2p"
-    engine: Engine = Engine.BETA
-    misbehavior_threshold: float = 0.5
-    weights: SafetyWeights = field(default_factory=SafetyWeights)
-    qad_operator: OperatorChoice = OperatorChoice.MODERATE_OPTIMISTIC
-    ref_tx_rate: float = 250_000.0
-    ref_response_time: float = 100.0
-    capacity: float = 1000.0
-    init_energy: float = 1000.0
-    harvest_rate: float = 0.5
-    costs: EnergyCosts = field(default_factory=EnergyCosts)
-    default_link: LinkTruth = field(default_factory=LinkTruth)
-    link_overrides: dict[tuple[int, int], dict[str, float]] = field(default_factory=dict)
-    link_events: list[LinkEvent] = field(default_factory=list)
-    mote_kills: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def validate(self, lines: Mapping[object, int] | None = None) -> dict[int, tuple[int, ...]]:
-        """Raise ScenarioError on the first bad setting, else return the topology checked against.
-
-        ``lines`` maps what a check looks at to the line that set it: a field's name, an
-        override's edge ``(a, b)``, ``("event", i)`` for ``link_events[i]`` or ``("kill", at,
-        mote)``. An error names the line of its subject if ``lines`` has one. A bad radius names
-        its own line, as only a radius the file sets can fail; the other checks that weigh several
-        fields against each other name none.
-        """
-        line_of = (lines or {}).get
-        for name, (label, holds, must) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if not holds(value):
-                raise ScenarioError(f"{label} must be {must}, got {value!r}", line_of(name))
-        if self.capacity > _MAX_CAPACITY:
-            raise ScenarioError(
-                f"capacity_j must be at most {_MAX_CAPACITY!r}, got {self.capacity!r}", line_of("capacity")
-            )
-        if self.topology == "geometric" and self.radius <= 0.0:
-            raise ScenarioError("geometric topology needs radius > 0", line_of("radius"))
-        if not 0.0 < self.theta_min <= self.theta_base <= self.theta_max:
-            raise ScenarioError("need 0 < theta_min_s <= theta_base_s <= theta_max_s")
-        if not 0.0 <= self.init_energy <= self.capacity:
-            raise ScenarioError(f"init_j must be in [0, capacity_j], got {self.init_energy}")
-        adjacency = build_topology(self)
-        for (a, b), changes in sorted(self.link_overrides.items()):
-            self._check_link(a, b, changes, adjacency, line_of((a, b)))
-        for i, ev in enumerate(self.link_events):
-            line = line_of(("event", i))
-            self._check_interval(ev.at, line)
-            self._check_link(ev.a, ev.b, ev.changes, adjacency, line)
-        for at, addrs in sorted(self.mote_kills.items()):
-            for addr in addrs:
-                line = line_of(("kill", at, addr))
-                self._check_interval(at, line)
-                if not 0 <= addr < self.motes:
-                    raise ScenarioError(f"kill event names unknown mote {addr}", line)
-        return adjacency
-
-    def _check_interval(self, at: int, line: int | None) -> None:
-        if not 0 <= at < self.intervals:  # an event past the last interval would never fire
-            raise ScenarioError(f"event interval must be in [0, {self.intervals - 1}], got {at}", line)
-
-    def _check_link(
-        self, a: int, b: int, changes: dict[str, float], adjacency: dict[int, tuple[int, ...]], line: int | None
-    ) -> None:
-        """An override's or a link event's edge, and the fields it sets."""
-        if not (0 <= a < self.motes and 0 <= b < self.motes) or a == b:
-            raise ScenarioError(f"link {a}-{b} names invalid endpoints", line)
-        if b not in adjacency[a]:
-            raise ScenarioError(f"link {a}-{b} does not exist in the {self.topology} topology", line)
-        if not changes:
-            raise ScenarioError("a link entry must set at least one field", line)
-        for name in changes:
-            if name not in LINK_FIELDS.values():
-                raise ScenarioError(f"unknown link field {name!r}", line)
-        try:
-            replace(self.default_link, **changes)  # LinkTruth checks its fields
-        except ScenarioError as err:
-            raise ScenarioError(err.args[0], line) from None
-
-
-# ---------------------------------------------------------------------------
-# topology
-# ---------------------------------------------------------------------------
-
-
-def build_topology(scenario: Scenario) -> dict[int, tuple[int, ...]]:
-    """Adjacency (sorted neighbor tuples) for the scenario's static topology."""
-    n = scenario.motes
-    adjacency: dict[int, set[int]] = {a: set() for a in range(n)}
-
-    def connect(a: int, b: int) -> None:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-    if scenario.topology == "ring":
-        if n == 2:
-            connect(0, 1)
-        elif n > 2:
-            for a in range(n):
-                connect(a, (a + 1) % n)
-    elif scenario.topology == "grid":
-        cols = math.ceil(math.sqrt(n))
-        for a in range(n):
-            if (a % cols) + 1 < cols and a + 1 < n:
-                connect(a, a + 1)
-            if a + cols < n:
-                connect(a, a + cols)
-    else:  # geometric: uniform points in the unit square, edges within radius
-        rng = random.Random(f"{scenario.seed}:topology")
-        points = [(rng.random(), rng.random()) for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if math.dist(points[a], points[b]) <= scenario.radius:
-                    connect(a, b)
-    return {a: tuple(sorted(peers)) for a, peers in adjacency.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +137,16 @@ def charge_energy(mote: MoteState, action: str, costs: EnergyCosts) -> MoteState
             mote.energy = 0.0
             mote.alive = False
     return mote
+
+
+@dataclass(frozen=True)
+class SafetyObservation:
+    """One sample of a link as a mote saw it."""
+
+    link_quality: float
+    tx_rate: float
+    response_time: float
+    uptime: float
 
 
 def observe_link(truth: LinkTruth, rng: random.Random) -> SafetyObservation:
