@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from itertools import compress, repeat
+from operator import is_not
 from typing import Iterable, Sequence
 
 SCALE_MIN = -2
@@ -167,41 +169,65 @@ def step_society(
     """One synchronous revision round: every agent applies its operator to its row.
 
     All agents read the pre-step matrix, so revision order cannot leak into
-    the result. Returns a new matrix; the input is left untouched. Each
-    entry gets the value ``apply_operator`` would give it, and hopping draws
-    from ``rng`` in row-major order, but every column's sum and count are
-    taken once, so a step costs O(n^2) instead of O(n^3).
+    the result. Returns a new matrix that shares no row with the input,
+    which is left untouched. Each entry gets the value ``apply_operator``
+    would give it, and hopping draws from ``rng`` in row-major order. Only
+    the defined cells are visited: a C-level scan finds each row's, every
+    column's sum and count are taken over them once, and each result row
+    is a copy of its input row with just those cells revised. A step costs
+    O(n^2) in C and O(n + defined cells) in Python, not O(n^3).
     """
     if len(assignment) != matrix.n:
         raise ValueError(f"need one operator per agent: got {len(assignment)} for {matrix.n} agents")
-    columns = [[v for v in column if v is not None] for column in zip(*matrix._rows)]
-    totals = [sum(column) for column in columns]
-    counts = [len(column) for column in columns]
+    rows, columns = matrix._rows, range(matrix.n)
+    defined = [list(compress(columns, map(is_not, row, repeat(None)))) for row in rows]
+    totals, counts = [0] * matrix.n, [0] * matrix.n
+    for row, cells in zip(rows, defined):
+        for j in cells:
+            totals[j] += row[j]
+            counts[j] += 1
     # every revised value is on the scale, so the rows are adopted unchecked
     return AssessmentMatrix._of_checked(
-        [_revise_row(row, op, totals, counts, rng) for row, op in zip(matrix._rows, assignment)]
+        [_revise_row(row, cells, op, totals, counts, rng) for row, cells, op in zip(rows, defined, assignment)]
     )
 
 
 def _revise_row(
-    row: list[Assessment], op: OperatorChoice, totals: list[int], counts: list[int], rng: random.Random | None
+    row: list[Assessment],
+    cells: list[int],
+    op: OperatorChoice,
+    totals: list[int],
+    counts: list[int],
+    rng: random.Random | None,
 ) -> list[Assessment]:
-    """``apply_operator`` over one row, given the sum and count of each column's defined values."""
-    if row.count(None) == len(row):  # absent entries absorb every operator
-        return row[:]
+    """A copy of ``row`` with its defined ``cells`` revised as ``apply_operator`` would, given each column's sum
+    and count of defined values."""
+    out = row[:]
+    if not cells:  # absent entries absorb every operator
+        return out
     if op is OperatorChoice.ASSESSMENT_HOPPING:
         if rng is None:
             raise ValueError("assessment hopping needs an rng")
         choice = rng.choice
-        return [None if v is None else choice(SCALE_VALUES) for v in row]
-    cells = zip(row, totals, counts)
-    if op is OperatorChoice.MODERATE_OPTIMISTIC:
-        return [None if v is None else v if t <= v * c else v + 1 for v, t, c in cells]
-    if op is OperatorChoice.MODERATE_PESSIMISTIC:
-        return [None if v is None else v if t >= v * c else v - 1 for v, t, c in cells]
-    if op is OperatorChoice.CONSENSUS_SEEKER:
-        return [None if v is None else -((-t) // c) if t < 0 else t // c for v, t, c in cells]
-    raise ValueError(f"unknown operator {op!r}")
+        for j in cells:
+            out[j] = choice(SCALE_VALUES)
+    elif op is OperatorChoice.MODERATE_OPTIMISTIC:
+        for j in cells:
+            v = row[j]
+            if totals[j] > v * counts[j]:
+                out[j] = v + 1
+    elif op is OperatorChoice.MODERATE_PESSIMISTIC:
+        for j in cells:
+            v = row[j]
+            if totals[j] < v * counts[j]:
+                out[j] = v - 1
+    elif op is OperatorChoice.CONSENSUS_SEEKER:
+        for j in cells:
+            t = totals[j]
+            out[j] = -((-t) // counts[j]) if t < 0 else t // counts[j]
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    return out
 
 
 def rate_of_change(previous: AssessmentMatrix, current: AssessmentMatrix) -> int:

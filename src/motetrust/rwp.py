@@ -173,7 +173,10 @@ def aggregate_major(
     minor covers. Subjects nobody assessed keep an all-absent column. The
     stacked matrix then takes a single synchronous revision round in which
     every owner's row moves per its submitted operator; rows of motes that
-    uploaded nothing are all-absent and absorb any operator.
+    uploaded nothing are all-absent and absorb any operator. A malformed
+    upload raises ValueError naming its owner: an owner outside the society
+    or sending twice, or a minor that misses its owner or covers a subject
+    outside the society.
     """
     society = list(society)
     if len(set(society)) != len(society) or not society:
@@ -188,11 +191,16 @@ def aggregate_major(
         if owner in seen:
             raise ValueError(f"duplicate minor from owner {owner}")
         seen.add(owner)
-        for subject in minor.addresses:
-            if subject not in index:
+        own = minor._index.get(owner)
+        if own is None:
+            raise ValueError(f"minor of {owner} does not cover its owner")
+        # the minor's values were checked when they were written, so they are copied into the owner's row as they are
+        row = stacked._rows[index[owner]]
+        for subject, value in zip(minor.addresses, minor.matrix._rows[own]):
+            column = index.get(subject)
+            if column is None:
                 raise ValueError(f"minor of {owner} covers {subject}, which is outside the society")
-        for subject, value in minor.row(owner).items():
-            stacked.set_entry(index[owner], index[subject], value)
+            row[column] = value
         assignment[index[owner]] = op
     return step_society(stacked, assignment, rng)
 

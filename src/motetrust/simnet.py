@@ -18,11 +18,12 @@ intervals. ``_Simulation.run_interval`` runs one phase method after another:
   host, and greedily trust-routes one application message to it.
 
 Every action costs energy. ``charge_energy`` bills the compute charges; the
-loops that walk the radio graph (``_send``, which carries polls and unicasts,
-``_flood`` and ``_route_greedy``) debit tx and rx in place with its
-arithmetic, so each mote pays the same sequence of charges. A mote that hits
-zero is dead for good and neither sends nor receives; ``_die`` is where a
-radio debit kills it.
+loops that walk the radio graph (``_send``, which carries polls and answers,
+``_unicast``'s walk of uploads and queries to the host, ``_flood`` and
+``_route_greedy``) debit tx and rx in place with its arithmetic, so each
+mote pays the same sequence of charges. A mote that hits zero is dead for
+good and neither sends nor receives; ``_die`` is where a radio debit kills
+it.
 All randomness flows from named substreams of the scenario seed and every
 within-interval sweep runs in ascending address order, so a scenario
 reproduces the same trace byte for byte.
@@ -39,9 +40,10 @@ on that, and a death is the one thing that voids any of them:
   component while they all live, and reuses them while every one would also
   survive its rx; ``_bill_floods`` bills a component's later announcements
   on them in one pass unless that would drain a member;
-* ``_unicast`` routes every upload and every answer along ``_routes(host)``,
-  one BFS from the host: an answer reads the tree path to the asker, and an
-  upload steps at each mote to its lowest-address neighbor one hop nearer
+* ``_unicast`` routes every upload, query and answer along ``_routes(host)``,
+  one BFS from the host: an answer reads the tree path to the asker and
+  hands it to ``_send``, and an upload or a query steps in place, with no
+  path list, from each mote to its lowest-address neighbor one hop nearer
   the host. ``_routes`` is the one search over the live motes;
   ``_shortest_path``, which the simulator does not call, walks it too.
 
@@ -563,14 +565,51 @@ class _Simulation:
         """Hop-by-hop delivery along the shortest live path; False when it breaks.
 
         Every unicast runs between a mote and the host that ``_aggregate`` set, along the host's ``_routes``,
-        which are kept until a death voids them. An answer takes the reversed parent walk from the asker and an
-        upload the ``toward`` walk to the host: each is the path a fresh search from the sender finds.
+        which are kept until a death voids them. An answer takes the reversed parent walk from the asker through
+        ``_send``. An upload or a query steps along ``toward`` from the sender to the host in place, with ``_send``'s
+        arithmetic: the sender's tx, each relay's rx then tx on one float, and the host's rx. It stops at a receiver
+        that is dead or dies of its rx, and a sender or relay that its tx drains still sends. Each is the path a
+        fresh search from the sender finds.
         """
         host, routes = self._host, self._host_routes
         if routes is None:
             routes = self._host_routes = self._routes(host)
-        path = _walk(routes[0], dst, host) if src == host else _walk(routes[1], src, host)
-        return path is not None and self._send(path[::-1] if src == host else path)
+        if src == host:
+            path = _walk(routes[0], dst, host)
+            return path is not None and self._send(path[::-1])
+        toward = routes[1]  # a death drops the routes but leaves the list as it was, so the walk holds its path
+        if toward[src] < 0:
+            return False
+        motes, costs = self.motes, self.sc.costs
+        tx, rx = costs.tx, costs.rx
+        sender = motes[src]
+        if sender.alive and not sender.unconstrained:  # the frame leaves even if it drains the sender
+            energy = sender.energy - tx
+            if energy > 0.0:
+                sender.energy = energy
+            else:
+                self._die(sender)
+        while True:
+            src = toward[src]
+            mote = motes[src]
+            if not mote.alive:
+                return False
+            if mote.unconstrained:
+                if src == host:
+                    return True
+                continue
+            energy = mote.energy - rx
+            if not energy > 0.0:
+                self._die(mote)
+                return False
+            if src == host:
+                mote.energy = energy
+                return True
+            energy -= tx  # a relay that survives its rx sends on, even if that drains it
+            if energy > 0.0:
+                mote.energy = energy
+            else:
+                self._die(mote)
 
     def _route_greedy(self, src: int, dst: int) -> bool:
         """Forward hop by hop to each holder's most trusted neighbor; capped at n hops.

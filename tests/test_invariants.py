@@ -10,6 +10,7 @@ through ``charge_energy``, and each radio walk leaves every mote as that
 simulation's walk does.
 """
 
+import copy
 import math
 import random
 from collections import deque
@@ -345,13 +346,16 @@ LAP_RING = Scenario(
 )
 
 
-def both(scenario, energies, shortcut, method, *args) -> tuple[object, list[tuple[float, bool]], list[bool]]:
+def both(scenario, energies, shortcut, method, *args, host=None) -> tuple[object, list[tuple[float, bool]], list]:
     """One call of ``method`` from the same batteries on the simulation and on the walking oracle, which must agree
-    on what it returns and on every mote's (energy, alive); gives those and what each ``shortcut`` call returned."""
+    on what it returns and on every mote's (energy, alive); gives those and what each ``shortcut`` call returned.
+    A mote given 0.0 J is dead, and ``host`` is the host that unicasts run between."""
     fast, slow = _Simulation(scenario), _Walking(scenario)
     for sim in fast, slow:
+        sim._host = host
         for addr, energy in energies.items():
             sim.motes[addr].energy = energy
+            sim.motes[addr].alive = energy > 0.0
     taken = []
     take = getattr(fast, shortcut)
     with mock.patch.object(fast, shortcut, lambda *a: taken.append(take(*a)) or taken[-1]):
@@ -437,14 +441,77 @@ def test_a_batch_bills_only_a_live_reach_that_its_members_hold():
     assert [m.energy for m in sim.motes.values()] == after_the_flood
 
 
+# a 6-ring of peers round host 0, from 1.6 J with an rx of 0.1 J and a tx of 0.2 J, which round differently in either
+# order: an upload walks toward the host in place, so it hands _send nothing
+UPLOAD_RING = Scenario(
+    motes=6, topology="ring", engine=Engine.QAD, costs=EnergyCosts(tx=0.2, rx=0.1), capacity=4.0, init_energy=1.6,
+    harvest_rate=0.0,
+)
+
+
+def test_an_upload_goes_round_a_dead_relay():
+    # mote 1 is dead, so mote 2's upload takes the long way, 2, 3, 4, 5, 0: each relay pays rx then tx, which from
+    # mote 4's 1.0 J leaves another float than tx then rx
+    got, state, sent = both(UPLOAD_RING, {1: 0.0, 4: 1.0}, "_send", "_unicast", 2, 0, host=0)
+    assert (got, sent) == (True, [])
+    assert state[2] == (1.6 - 0.2, True) and state[0] == (1.6 - 0.1, True)
+    assert state[3:] == [(1.6 - 0.1 - 0.2, True), (1.0 - 0.1 - 0.2, True), (1.6 - 0.1 - 0.2, True)]
+    assert 1.0 - 0.1 - 0.2 != 1.0 - 0.2 - 0.1
+
+
+def test_an_upload_stops_at_a_relay_killed_under_its_routes():
+    # no death voids the host routes between the scripted kills and the uploads, but should a relay on a stored path
+    # be dead, the upload stops there, as _send stops on that path: the sender has paid its tx
+    sims = _Simulation(UPLOAD_RING), _Simulation(UPLOAD_RING)
+    for sim in sims:
+        sim._host, sim._host_routes = 0, sim._routes(0)
+        sim.motes[1].alive, sim.motes[1].energy = False, 0.0
+    fast, ref = sims
+    assert fast._unicast(2, 0) is ref._send(simnet._walk(ref._host_routes[1], 2, 0)) is False
+    assert [(m.energy, m.alive) for m in fast.motes.values()] == [(m.energy, m.alive) for m in ref.motes.values()]
+    assert fast.motes[2].energy == 1.6 - 0.2
+
+
+def test_an_upload_stops_at_a_receiver_its_rx_drains():
+    # mote 1 has just the 0.1 J of its rx, so it dies receiving mote 2's upload, which ends there
+    got, state, sent = both(UPLOAD_RING, {1: 0.1}, "_send", "_unicast", 2, 0, host=0)
+    assert (got, sent) == (False, [])
+    assert state[:3] == [(1.6, True), (0.0, False), (1.6 - 0.2, True)]
+
+
+def test_an_upload_leaves_a_sender_its_tx_drains():
+    # mote 3 has just the 0.2 J of its tx, so sending drains it, but the upload goes on along 2 and 1 to the host
+    got, state, sent = both(UPLOAD_RING, {3: 0.2}, "_send", "_unicast", 3, 0, host=0)
+    assert (got, sent) == (True, [])
+    assert state[:4] == [(1.6 - 0.1, True)] + [(1.6 - 0.1 - 0.2, True)] * 2 + [(0.0, False)]
+
+
 GRID_3X3 = Scenario(motes=9, topology="grid", architecture="sink", engine=Engine.QAD)
 
 
 def unicast_paths(sim, src, dst) -> tuple[bool, list[list[int]]]:
-    """What ``_unicast`` returns and the paths it hands ``_send``, which carries nothing and so kills no one."""
-    sent = []
-    with mock.patch.object(sim, "_send", lambda path: sent.append(list(path)) or True):
-        return sim._unicast(src, dst), sent
+    """What ``_unicast`` returns on a copy of ``sim`` whose live motes, the sink too, hold batteries that no path
+    drains, and the path it carried, if any, read from the motes it billed. Each pays tx or rx or both, and a shortest
+    path has no chord, so from ``src`` each step goes to the one billed neighbor not yet on it."""
+    fresh = copy.deepcopy(sim)
+    for mote in fresh.motes.values():
+        mote.unconstrained = False  # the sink relays for free, and so would not show
+        if mote.alive:
+            mote.energy = 1000.0
+    before = [mote.energy for mote in fresh.motes.values()]
+    got = fresh._unicast(src, dst)
+    left = {a for a, mote in fresh.motes.items() if mote.energy != before[a]}
+    if not left:
+        return got, []
+    path = [src]
+    left.discard(src)
+    while left:
+        step = [b for b in fresh.adjacency[path[-1]] if b in left]
+        if len(step) != 1:
+            return got, [path + sorted(left)]  # not a walk along a chordless path, so no expected path matches
+        path.append(step[0])
+        left.remove(step[0])
+    return got, [path]
 
 
 def test_an_upload_steps_to_the_lowest_nearer_neighbor():

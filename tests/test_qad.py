@@ -37,6 +37,19 @@ def matrix_pairs(draw, max_n=5):
     return a, AssessmentMatrix(rows)
 
 
+@st.composite
+def sparse_matrices(draw, max_n=40):
+    """Up to ``max_n`` agents, most rows holding 0-3 defined cells; some rows and columns stay wholly absent."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    absent = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))  # columns no one assesses
+    rows = [[None] * n for _ in range(n)]
+    for row in rows:
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=3 if draw(st.integers(0, 9)) else n)):
+            if j not in absent:
+                row[j] = draw(st.integers(-2, 2))
+    return AssessmentMatrix(rows)
+
+
 def single_entry(value, column_rest):
     """A matrix whose column 0 is (value, *column_rest); entry (0, 0) under test."""
     n = 1 + len(column_rest)
@@ -207,8 +220,9 @@ class TestStepSociety:
 class TestStepSocietyOracle:
     """step_society must give every entry what apply_operator gives it, drawing in row-major order."""
 
-    @given(matrices(max_n=7), st.data(), st.integers(0, 2**32))
-    @settings(max_examples=200)
+    # small dense matrices, and wide sparse ones as in a society matrix, where whole rows and columns are absent
+    @given(st.one_of(matrices(max_n=7), sparse_matrices()), st.data(), st.integers(0, 2**32))
+    @settings(max_examples=300)
     def test_matches_apply_operator_cell_by_cell(self, m, data, seed):
         ops = data.draw(st.lists(st.sampled_from(list(OperatorChoice)), min_size=m.n, max_size=m.n))
         rng = random.Random(seed)
@@ -218,6 +232,17 @@ class TestStepSocietyOracle:
         step_rng = random.Random(seed)
         assert step_society(m, ops, step_rng) == expected
         assert step_rng.getstate() == rng.getstate()  # the same draws, no more
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=50)
+    def test_the_result_shares_no_row_with_the_input(self, m, data):
+        ops = data.draw(st.lists(st.sampled_from(list(OperatorChoice)), min_size=m.n, max_size=m.n))
+        before = m.copy()
+        out = step_society(m, ops, random.Random(3))
+        for i in range(m.n):
+            for j in range(m.n):
+                out.set_entry(i, j, 2 if m.entry(i, j) != 2 else -2)
+        assert m == before
 
     def test_hopping_without_rng_fails_only_on_a_defined_entry(self):
         with pytest.raises(ValueError):

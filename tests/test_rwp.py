@@ -197,6 +197,11 @@ class TestAggregateMajor:
         with pytest.raises(ValueError):
             aggregate_major([(1, m, OperatorChoice.CONSENSUS_SEEKER)], society=[1, 2])
 
+    def test_minor_must_cover_its_owner(self):
+        m = AddressedMatrix([2])
+        with pytest.raises(ValueError, match="minor of 1 "):
+            aggregate_major([(1, m, OperatorChoice.CONSENSUS_SEEKER)], society=[1, 2])
+
 
 class TestHandleQuery:
     def make_major(self):
